@@ -56,7 +56,6 @@ func main() {
 		staleness = flag.Int("staleness", 1, "SSP staleness bound (stale variants)")
 		noSHM     = flag.Bool("no-shm", false, "force TCP even between same-host processes")
 		shmDir    = flag.String("shm-dir", "", "shared-memory ring directory (default derived from -addrs; all co-located processes must agree)")
-		pin       = flag.Bool("pin", false, "pin each server shard goroutine to one CPU core")
 		quiet     = flag.Bool("q", false, "suppress the per-node summary")
 		metricsAt = flag.String("metrics-addr", "", "serve /metrics, /debug/trace, /debug/stats over HTTP on this address (empty = off)")
 		linger    = flag.Duration("linger", 0, "keep the process (and its metrics endpoint) alive this long after the workload finishes")
@@ -69,7 +68,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := nodeOptions{noSHM: *noSHM, shmDir: *shmDir, pin: *pin, quiet: *quiet,
+	opts := nodeOptions{noSHM: *noSHM, shmDir: *shmDir, quiet: *quiet,
 		metricsAddr: *metricsAt, linger: *linger, serving: *serving}
 	if err := run(*node, addrs, *workers, *shards, driver.Kind(*variant), *keys, *valLen, *iters, *staleness, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "lapse-node %d: %v\n", *node, err)
@@ -81,7 +80,6 @@ func main() {
 type nodeOptions struct {
 	noSHM       bool
 	shmDir      string
-	pin         bool
 	quiet       bool
 	metricsAddr string
 	linger      time.Duration
@@ -100,7 +98,7 @@ func run(node int, addrs []string, workers, shards int, kind driver.Kind, nKeys,
 		return err
 	}
 	layout := kv.NewUniformLayout(kv.Key(nKeys), valLen)
-	buildOpts := driver.Options{Staleness: staleness, PinShards: opts.pin}
+	buildOpts := driver.Options{Staleness: staleness}
 	if opts.serving > 0 {
 		buildOpts.Serving = &core.ServingConfig{TTL: opts.serving}
 	}

@@ -94,9 +94,6 @@ type Config struct {
 	// Unbatched disables per-destination message batching (measurement
 	// only).
 	Unbatched bool
-	// PinShards pins each server shard goroutine to one CPU core (see
-	// server.Config.PinShards).
-	PinShards bool
 	// Replicate designates hot keys managed by eventually-consistent
 	// replication instead of relocation: every node holds a local replica,
 	// all reads and cumulative writes are shared-memory operations, and a
@@ -246,7 +243,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		layout: layout,
 		cfg:    cfg,
 		home:   cfg.HomePartitioner,
-		g:      server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched, PinShards: cfg.PinShards}),
+		g:      server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched}),
 		nodes:  make([]*node, cl.Nodes()),
 	}
 	nk := int(layout.NumKeys())
@@ -463,27 +460,60 @@ func (s *System) replicated(k kv.Key) bool {
 	return false
 }
 
+// readParameterPatience bounds how long ReadParameter waits for a key whose
+// move is in flight before it declares the key lost.
+const readParameterPatience = 2 * time.Second
+
 // ReadParameter reads the current value of k from its owner's store,
 // bypassing the network. Only valid in quiescent states, for keys currently
 // owned by a node of this process (use a worker Pull otherwise). For a
 // replicated key it returns the authoritative merged value at the key's
 // home, which equals every replica once the sync cycle has converged.
+//
+// A key can be in flight even between epochs: the home registers a new
+// owner before the transfer reaches it, and the adaptive controller
+// relocates, promotes and demotes keys on its own schedule. While the key
+// is missing where the owner table or the replicated flag points,
+// ReadParameter re-resolves both and retries, for up to
+// readParameterPatience.
 func (s *System) ReadParameter(k kv.Key, dst []float32) {
+	var deadline time.Time
+	for {
+		missing := s.readParameterOnce(k, dst)
+		if missing == "" {
+			return
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(readParameterPatience)
+		} else if time.Now().After(deadline) {
+			panic(fmt.Sprintf("core: ReadParameter(%d): %s", k, missing))
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// readParameterOnce makes one ReadParameter attempt. It returns "" on
+// success, or why k was not where the owner table or the replicated flag
+// says it is.
+func (s *System) readParameterOnce(k kv.Key, dst []float32) (missing string) {
 	if s.replicated(k) {
 		h := s.home.NodeOf(k)
 		if s.nodes[h] == nil {
 			panic(fmt.Sprintf("core: ReadParameter(%d): home node %d of replicated key is not hosted by this process", k, h))
 		}
-		s.nodes[h].rep.ReadAuthoritative(k, dst)
-		return
+		if !s.nodes[h].rep.ReadAuthoritative(k, dst) {
+			return "replicated key has no authoritative value at its home"
+		}
+		return ""
 	}
 	owner := s.OwnerOf(k)
 	if s.nodes[owner] == nil {
 		panic(fmt.Sprintf("core: ReadParameter(%d): owner node %d is not hosted by this process", k, owner))
 	}
 	if !s.nodes[owner].store.Read(k, dst) {
-		panic(fmt.Sprintf("core: ReadParameter(%d): key not at its registered owner", k))
+		return "key not at its registered owner"
 	}
+	return ""
 }
 
 // Shutdown stops the adaptive controllers and replica sync cycles and waits

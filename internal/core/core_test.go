@@ -90,6 +90,37 @@ func TestLocalizeMovesOwnership(t *testing.T) {
 	}
 }
 
+func TestReadParameterDuringRelocation(t *testing.T) {
+	// The home registers the new owner when the Localize arrives, one
+	// network latency before the transfer does. A ReadParameter in that
+	// window must wait for the value instead of reporting the key lost.
+	const latency = 100 * time.Millisecond
+	cl := cluster.New(cluster.Config{
+		Nodes: 2, WorkersPerNode: 1,
+		Net: simnet.Config{Latency: latency},
+	})
+	sys := New(cl, kv.NewUniformLayout(8, 2), Config{})
+	defer func() { cl.Close(); sys.Shutdown() }()
+	k := kv.Key(6) // homed at node 1
+	sys.Init(func(key kv.Key, v []float32) { v[0], v[1] = float32(key), -float32(key) })
+
+	f := sys.Handle(0).LocalizeAsync([]kv.Key{k})
+	for sys.OwnerOf(k) != 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	buf := make([]float32, 2)
+	if sys.nodes[0].store.Read(k, buf) {
+		t.Fatal("transfer arrived with the localize; the in-flight window was not hit")
+	}
+	sys.ReadParameter(k, buf)
+	if buf[0] != 6 || buf[1] != -6 {
+		t.Fatalf("ReadParameter during relocation = %v, want [6 -6]", buf)
+	}
+	if err := f.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLocalizePreservesValue(t *testing.T) {
 	_, sys := newTestSystem(t, 3, 1, 9, 2, Config{})
 	h0 := sys.Handle(0)

@@ -82,9 +82,6 @@ type Options struct {
 	// variants only; see internal/adaptive). Replicate then seeds the
 	// initial replicated set.
 	Adaptive *adaptive.Config
-	// PinShards pins each server shard goroutine to one CPU core (all
-	// variants; see server.Config.PinShards).
-	PinShards bool
 	// Serving enables the read-path serving tier — lease-based client
 	// caching with MultiGet (Lapse variants only; see core.ServingConfig).
 	Serving *core.ServingConfig
@@ -94,21 +91,21 @@ type Options struct {
 func Build(kind Kind, cl *cluster.Cluster, layout kv.Layout, opt Options) PS {
 	switch kind {
 	case ClassicPS:
-		return classic.New(cl, layout, classic.Config{Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return classic.New(cl, layout, classic.Config{Unbatched: opt.Unbatched})
 	case ClassicFast:
-		return classic.New(cl, layout, classic.Config{FastLocalAccess: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return classic.New(cl, layout, classic.Config{FastLocalAccess: true, Unbatched: opt.Unbatched})
 	case Lapse:
-		return core.New(cl, layout, core.Config{Unbatched: opt.Unbatched, PinShards: opt.PinShards,
+		return core.New(cl, layout, core.Config{Unbatched: opt.Unbatched,
 			Replicate: opt.Replicate, ReplicaSyncEvery: opt.ReplicaSyncEvery, Adaptive: opt.Adaptive,
 			Serving: opt.Serving})
 	case LapseCached:
-		return core.New(cl, layout, core.Config{LocationCaches: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards,
+		return core.New(cl, layout, core.Config{LocationCaches: true, Unbatched: opt.Unbatched,
 			Replicate: opt.Replicate, ReplicaSyncEvery: opt.ReplicaSyncEvery, Adaptive: opt.Adaptive,
 			Serving: opt.Serving})
 	case SSPClient:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, Unbatched: opt.Unbatched})
 	case SSPServer:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, ServerSync: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, ServerSync: true, Unbatched: opt.Unbatched})
 	default:
 		panic(fmt.Sprintf("driver: unknown PS kind %q", kind))
 	}

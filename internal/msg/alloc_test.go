@@ -9,15 +9,16 @@ import (
 )
 
 // TestAppendToMatchesEncode pins the wire format of the pooled encode path:
-// AppendTo must produce byte-identical output to Encode for every message
-// kind (including nil/empty slice shapes), and appending after a prefix must
-// leave the prefix untouched.
+// appending into a reused buffer whose spare capacity still holds an earlier
+// message's bytes must produce byte-identical output to a fresh encode for
+// every message kind (including nil/empty slice shapes), and appending after
+// a prefix must leave the prefix untouched.
 func TestAppendToMatchesEncode(t *testing.T) {
 	for _, m := range seedMessages() {
-		want := Encode(m)
-		got := AppendTo(nil, m)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("AppendTo(%T) = %x, Encode = %x", m, got, want)
+		want := AppendTo(nil, m)
+		dirty := bytes.Repeat([]byte{0xA5}, len(want)+64)[:0]
+		if got := AppendTo(dirty, m); !bytes.Equal(got, want) {
+			t.Fatalf("AppendTo(%T) into a reused buffer = %x, fresh = %x", m, got, want)
 		}
 		prefix := []byte{1, 2, 3}
 		both := AppendTo(append([]byte(nil), prefix...), m)
@@ -36,7 +37,7 @@ func TestScratchDecodeMatchesDecode(t *testing.T) {
 	s := GetScratch()
 	defer s.Release()
 	for _, m := range seedMessages() {
-		enc := Encode(m)
+		enc := AppendTo(nil, m)
 		want, wn, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode(%T): %v", m, err)
@@ -78,7 +79,7 @@ func TestScratchDecodeZeroAlloc(t *testing.T) {
 	s := GetScratch()
 	defer s.Release()
 	for _, m := range seedMessages() {
-		enc := Encode(m)
+		enc := AppendTo(nil, m)
 		// Warm the scratch arenas for this message's sizes.
 		if _, _, err := s.Decode(enc); err != nil {
 			t.Fatalf("Scratch.Decode(%T): %v", m, err)
@@ -101,7 +102,7 @@ func TestScratchReleasePoisons(t *testing.T) {
 	defer SetPoison(false)
 
 	s := GetScratch()
-	enc := Encode(&Op{Type: OpPush, ID: 9, Keys: []kv.Key{1, 2}, Vals: []float32{3, 4}})
+	enc := AppendTo(nil, &Op{Type: OpPush, ID: 9, Keys: []kv.Key{1, 2}, Vals: []float32{3, 4}})
 	mAny, _, err := s.Decode(enc)
 	if err != nil {
 		t.Fatal(err)

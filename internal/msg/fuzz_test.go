@@ -53,7 +53,7 @@ func seedMessages() []any {
 // zero-length slices share one canonical wire form).
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, m := range seedMessages() {
-		f.Add(Encode(m))
+		f.Add(AppendTo(nil, m))
 	}
 	// A few hand-broken frames: truncated payloads, bogus kinds/lengths.
 	f.Add([]byte{byte(KindOp), 2, 0, 0, 0, 1, 2})
@@ -67,9 +67,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if n < headerBytes || n > len(data) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
 		}
-		enc := Encode(m)
+		enc := AppendTo(nil, m)
 		if len(enc) != Size(m) {
-			t.Fatalf("len(Encode) = %d, Size = %d for %#v", len(enc), Size(m), m)
+			t.Fatalf("len(AppendTo) = %d, Size = %d for %#v", len(enc), Size(m), m)
 		}
 		m2, n2, err := Decode(enc)
 		if err != nil {
@@ -83,20 +83,25 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		// Bit-level equality via the encoding (NaN payloads round-trip
 		// bit-exactly but defeat reflect.DeepEqual).
-		if enc2 := Encode(m2); !bytes.Equal(enc, enc2) {
+		if enc2 := AppendTo(nil, m2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding is not a fixpoint:\n got %x\nwant %x", enc2, enc)
 		}
 		// The pooled paths are wire-identical to the plain ones: AppendTo
-		// produces the same bytes and Scratch.Decode the same message.
-		if enc3 := AppendTo(nil, m); !bytes.Equal(enc, enc3) {
-			t.Fatalf("AppendTo diverges from Encode:\n got %x\nwant %x", enc3, enc)
+		// into a pooled encode buffer produces the same bytes and
+		// Scratch.Decode the same message.
+		bp := GetBuf()
+		enc3 := AppendTo(*bp, m)
+		if !bytes.Equal(enc, enc3) {
+			t.Fatalf("pooled AppendTo diverges from a fresh one:\n got %x\nwant %x", enc3, enc)
 		}
+		*bp = enc3
+		PutBuf(bp)
 		s := GetScratch()
 		m3, n3, err := s.Decode(data)
 		if err != nil {
 			t.Fatalf("Scratch.Decode rejects what Decode accepted: %v", err)
 		}
-		if n3 != n || !bytes.Equal(Encode(m3), enc) {
+		if n3 != n || !bytes.Equal(AppendTo(nil, m3), enc) {
 			t.Fatalf("Scratch.Decode diverges from Decode: %#v vs %#v", m3, m)
 		}
 		s.Release()
@@ -109,7 +114,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // bounds-checked), and trailing payload bytes are rejected.
 func TestDecodeRejectsTruncatedPayloads(t *testing.T) {
 	for _, m := range seedMessages() {
-		enc := Encode(m)
+		enc := AppendTo(nil, m)
 		// Truncate the payload at every length while keeping the length
 		// prefix consistent, so only field-level checks can catch it.
 		for plen := 0; plen < len(enc)-headerBytes; plen++ {

@@ -19,7 +19,7 @@
 // The steady-state message path is allocation-free: senders encode with
 // AppendTo into pooled buffers (GetBuf/PutBuf) and receivers decode through
 // pooled Scratch arenas (GetScratch/Scratch.Decode/Release); both are
-// wire-identical to Encode/Decode. See DESIGN.md "Allocation-free message
+// wire-identical to AppendTo(nil, m)/Decode. See DESIGN.md "Allocation-free message
 // path" for the ownership protocol and the poison-on-release debug mode.
 package msg
 
@@ -311,14 +311,14 @@ type LeaseRevoke struct {
 }
 
 const (
-	headerBytes = 1 + 4 // kind + payload length prefix used by Encode
+	headerBytes = 1 + 4 // kind + payload length prefix written by AppendTo
 	keyBytes    = 8
 	valBytes    = 4
 	seqBytes    = 4
 )
 
 // Size returns the encoded size in bytes of m. It is used by the simulated
-// network's bandwidth model and matches the output length of Encode.
+// network's bandwidth model and matches the output length of AppendTo.
 func Size(m any) int {
 	switch t := m.(type) {
 	case *Op:
@@ -351,9 +351,6 @@ func Size(m any) int {
 		panic(fmt.Sprintf("msg: Size on unknown message type %T", m))
 	}
 }
-
-// Encode serializes m into a fresh byte slice.
-func Encode(m any) []byte { return AppendTo(nil, m) }
 
 // AppendTo appends the encoding of m to buf and returns the extended slice.
 // It computes Size(m) exactly once, grows buf by that many bytes up front,

@@ -10,7 +10,7 @@ import (
 
 func roundTrip(t *testing.T, m any) any {
 	t.Helper()
-	enc := Encode(m)
+	enc := AppendTo(nil, m)
 	if len(enc) != Size(m) {
 		t.Fatalf("encoded length %d != Size %d for %T", len(enc), Size(m), m)
 	}
@@ -140,7 +140,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode([]byte{99, 0, 0, 0, 0}); err == nil {
 		t.Error("Decode(unknown kind) succeeded")
 	}
-	enc := Encode(&Localize{ID: 1, Origin: 0, Keys: []kv.Key{1, 2}})
+	enc := AppendTo(nil, &Localize{ID: 1, Origin: 0, Keys: []kv.Key{1, 2}})
 	if _, _, err := Decode(enc[:len(enc)-3]); err == nil {
 		t.Error("Decode(truncated) succeeded")
 	}
@@ -166,7 +166,7 @@ func TestQuickOpRoundTrip(t *testing.T) {
 			m.Keys = append(m.Keys, kv.Key(k))
 		}
 		m.Vals = vals
-		dec, _, err := Decode(Encode(m))
+		dec, _, err := Decode(AppendTo(nil, m))
 		if err != nil {
 			return false
 		}
@@ -203,7 +203,7 @@ func TestQuickTransferRoundTrip(t *testing.T) {
 		for _, k := range keys {
 			m.Keys = append(m.Keys, kv.Key(k))
 		}
-		dec, _, err := Decode(Encode(m))
+		dec, _, err := Decode(AppendTo(nil, m))
 		if err != nil {
 			return false
 		}

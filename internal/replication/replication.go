@@ -688,17 +688,18 @@ func (m *Manager) installLocked(st *stripe, k kv.Key, merged []float32) {
 	m.replica.Set(k, v)
 }
 
-// ReadAuthoritative reads the merged value of a key homed at this node.
-// Only meaningful in quiescent states after the sync cycle converged
-// (deltas still pending or in flight elsewhere are not included).
-func (m *Manager) ReadAuthoritative(k kv.Key, dst []float32) {
+// ReadAuthoritative reads the merged value of a key homed at this node. It
+// reports false, leaving dst untouched, when this node holds no
+// authoritative value for k: k is homed elsewhere, or is not replicated
+// here (yet, or any more). Only meaningful in quiescent states after the
+// sync cycle converged (deltas still pending or in flight elsewhere are not
+// included).
+func (m *Manager) ReadAuthoritative(k kv.Key, dst []float32) bool {
 	m.homeMu.Lock()
 	defer m.homeMu.Unlock()
 	a, ok := m.auth[k]
-	if !ok {
-		panic(fmt.Sprintf("replication: node %d is not home of key %d", m.cfg.Node, k))
-	}
 	copy(dst, a)
+	return ok
 }
 
 // ReadReplica reads this node's current replica view of k without touching

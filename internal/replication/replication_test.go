@@ -207,7 +207,9 @@ func TestInitKeySeedsReplicaAndAuthority(t *testing.T) {
 		}
 	}
 	auth := make([]float32, 2)
-	f.managers[1].ReadAuthoritative(1, auth) // key 1 homed at node 1
+	if !f.managers[1].ReadAuthoritative(1, auth) { // key 1 homed at node 1
+		t.Fatal("home of key 1 holds no authoritative value")
+	}
 	if auth[0] != 5 || auth[1] != 6 {
 		t.Fatalf("authority of key 1 = %v after init", auth)
 	}

@@ -31,7 +31,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -47,11 +46,6 @@ type Config struct {
 	// multi-key worker operation travels in its own message. Only used to
 	// quantify the batching win in tests and benchmarks.
 	Unbatched bool
-	// PinShards pins each shard's server goroutine to one CPU core (OS
-	// thread locked, affinity set to core (node*shards+shard) mod NumCPU),
-	// keeping a shard's cache-hot parameter slice on one core. Linux only;
-	// a no-op elsewhere.
-	PinShards bool
 }
 
 // Policy is the variant-specific part of a node's server shard: it handles
@@ -285,13 +279,6 @@ func (rt *Runtime) SendOrDispatch(dest int, m any) {
 // "Allocation-free message path"; msg.SetPoison catches violations).
 func (rt *Runtime) loop() {
 	defer rt.nd.g.wg.Done()
-	if rt.nd.g.cfg.PinShards {
-		// Keep this shard's work — and its slice of the parameter table —
-		// on one core for the lifetime of the loop.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		pinToCore((rt.nd.node*rt.nd.g.shards + rt.shard) % runtime.NumCPU())
-	}
 	for env := range rt.nd.g.cl.Net().Inbox(rt.nd.node, rt.shard) {
 		rt.handle(env.Src, env.Msg)
 		env.Recycle()

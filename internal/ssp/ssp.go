@@ -61,9 +61,6 @@ type Config struct {
 	// Unbatched disables per-destination message batching (measurement
 	// only).
 	Unbatched bool
-	// PinShards pins each server shard goroutine to one CPU core (see
-	// server.Config.PinShards).
-	PinShards bool
 }
 
 // System is a running stale PS.
@@ -133,7 +130,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		layout:  layout,
 		cfg:     cfg,
 		part:    cfg.Partitioner,
-		g:       server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched, PinShards: cfg.PinShards}),
+		g:       server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched}),
 		nodes:   make([]*node, cl.Nodes()),
 		workers: cl.TotalWorkers(),
 	}

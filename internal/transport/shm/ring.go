@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -382,24 +381,9 @@ func (r *ring) empty() bool {
 	return atomic.LoadUint64(r.head()) == atomic.LoadUint64(r.tail())
 }
 
-// waitData parks the consumer until the ring is non-empty, spinning for the
-// busy-poll window first. Spurious returns are fine; the caller re-peeks.
-func (r *ring) waitData(busyPoll time.Duration) {
-	if busyPoll > 0 {
-		deadline := time.Now().Add(busyPoll)
-		for i := 0; ; i++ {
-			if !r.empty() {
-				return
-			}
-			if i&63 == 63 {
-				if time.Now().After(deadline) {
-					break
-				}
-				// Yield so a co-scheduled producer on a loaded box can run.
-				runtime.Gosched()
-			}
-		}
-	}
+// waitData parks the consumer on the data doorbell until the ring is
+// non-empty. Spurious returns are fine; the caller re-peeks.
+func (r *ring) waitData() {
 	atomic.StoreUint32(r.cwait(), 1)
 	if !r.empty() {
 		atomic.StoreUint32(r.cwait(), 0)

@@ -2,7 +2,10 @@ package shm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -90,7 +93,7 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 			if frame != nil {
 				break
 			}
-			r.waitData(10 * time.Microsecond)
+			r.waitData()
 		}
 		got := int(frame[0]) | int(frame[1])<<8 | int(frame[2])<<16 | int(frame[3])<<24
 		if got != i {
@@ -108,6 +111,71 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// doorbellBytes drains f and returns how many wakeup bytes were pending. A
+// pending byte is readable at once, so the short deadline only bounds the
+// empty case.
+func doorbellBytes(t *testing.T, f *os.File) int {
+	t.Helper()
+	total := 0
+	for {
+		if err := f.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+			t.Fatalf("SetReadDeadline: %v", err)
+		}
+		var buf [16]byte
+		n, err := f.Read(buf[:])
+		total += n
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return total
+		}
+		if err != nil {
+			t.Fatalf("doorbell read: %v", err)
+		}
+	}
+}
+
+// TestRingDoorbellHandshake checks both halves of the park/wake handshake
+// without a second goroutine: a write into a ring whose consumer announced
+// it parked (cwait) must clear the flag and ring the data doorbell exactly
+// once, and releasing space while the producer is parked (pwait) must do the
+// same on the space doorbell. Neither side rings a peer that is not parked.
+func TestRingDoorbellHandshake(t *testing.T) {
+	r := testRing(t, minRingSize)
+	frame := []byte("frame")
+
+	if !r.tryWrite(frame) {
+		t.Fatal("tryWrite into an empty ring failed")
+	}
+	if n := doorbellBytes(t, r.dbData); n != 0 {
+		t.Fatalf("write to a running consumer rang the data doorbell %d times", n)
+	}
+	atomic.StoreUint32(r.cwait(), 1)
+	if !r.tryWrite(frame) {
+		t.Fatal("tryWrite failed")
+	}
+	if atomic.LoadUint32(r.cwait()) != 0 {
+		t.Fatal("tryWrite left the consumer's park flag set")
+	}
+	if n := doorbellBytes(t, r.dbData); n != 1 {
+		t.Fatalf("data doorbell holds %d bytes after waking a parked consumer, want 1", n)
+	}
+
+	r.advance(len(frame))
+	if n := doorbellBytes(t, r.dbSpace); n != 0 {
+		t.Fatalf("advance for a running producer rang the space doorbell %d times", n)
+	}
+	atomic.StoreUint32(r.pwait(), 1)
+	r.advance(len(frame))
+	if atomic.LoadUint32(r.pwait()) != 0 {
+		t.Fatal("advance left the producer's park flag set")
+	}
+	if n := doorbellBytes(t, r.dbSpace); n != 1 {
+		t.Fatalf("space doorbell holds %d bytes after waking a parked producer, want 1", n)
+	}
+	if !r.empty() {
+		t.Fatal("ring not empty after consuming both frames")
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,12 +59,6 @@ type Config struct {
 	// rounded up to a power of two; grown to admit MaxMessage). Every
 	// process must use the same value.
 	RingSize int
-	// BusyPoll is how long a consumer spins for the next frame after
-	// processing one before parking on the doorbell, keeping mid-burst latency
-	// in the sub-microsecond range (negative disables). The default is 50µs
-	// when a spare CPU exists and 0 on a single-CPU host, where spinning
-	// only steals the producer's time slice.
-	BusyPoll time.Duration
 	// InboxSize bounds each local node's total inbox capacity (default
 	// 1<<16), divided across its Shards channels like the tcp transport.
 	InboxSize int
@@ -87,10 +80,6 @@ type Config struct {
 	// owned by this network once New succeeds: Close closes it.
 	Fallback *tcp.Network
 }
-
-const (
-	defaultBusyPoll = 50 * time.Microsecond
-)
 
 type ringKey struct{ src, dst, shard int }
 type linkKey struct{ src, dst int }
@@ -155,13 +144,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Second
-	}
-	if cfg.BusyPoll == 0 {
-		if runtime.GOMAXPROCS(0) > 1 {
-			cfg.BusyPoll = defaultBusyPoll
-		}
-	} else if cfg.BusyPoll < 0 {
-		cfg.BusyPoll = 0
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
@@ -487,7 +469,6 @@ func (n *Network) getLink(src, dst int) *link {
 func (n *Network) consume(r *ring, src, dst, shard int) {
 	defer n.consWg.Done()
 	inbox := n.inboxes[dst][shard]
-	productive := false // spin only when frames were just flowing
 	for {
 		frame, err := r.peek()
 		if err != nil {
@@ -500,15 +481,9 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 				if r.producerDone() || !r.everAttached() || n.pastDrainDeadline() {
 					return
 				}
-				r.waitData(0)
 			default:
-				if productive {
-					productive = false
-					r.waitData(n.cfg.BusyPoll)
-				} else {
-					r.waitData(0)
-				}
 			}
+			r.waitData()
 			continue
 		}
 		sc := msg.GetScratch()
@@ -522,7 +497,6 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 		// The scratch decode copied every byte out of the ring, so release
 		// the slot before delivery: the producer unblocks sooner.
 		r.advance(size)
-		productive = true
 		env := transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}
 		select {
 		case inbox <- env:

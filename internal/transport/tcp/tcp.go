@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,31 +68,13 @@ type Config struct {
 	// protecting against corrupt length prefixes: the length is validated
 	// before any buffer grows to hold the frame.
 	MaxMessage int
-	// ReadBuffer is the per-connection read slab size (default 64 KiB).
-	// One kernel read fills the slab with as many frames as are available,
-	// and the decode loop consumes them without further syscalls; the slab
-	// grows only for single frames larger than it (after MaxMessage
-	// validation).
-	ReadBuffer int
-	// FlushWindow lets a link writer that just grabbed a small batch wait
-	// this long for more frames before issuing the writev, trading a little
-	// latency for fewer, larger syscalls. The wait is adaptive: it engages
-	// only while the link's recent batch sizes show a coalescible stream,
-	// so sparse request/reply traffic (barriers) never pays it. 0 means the
-	// 20µs default; negative disables.
-	FlushWindow time.Duration
 }
 
-const (
-	defaultReadBuffer  = 64 << 10
-	minReadBuffer      = 4 << 10
-	defaultFlushWindow = 20 * time.Microsecond
-	// flushBatchTarget is the batch size at which the writer stops waiting
-	// and writes; flushEngageEWMA is the recent-batch-size level above which
-	// the wait engages at all.
-	flushBatchTarget = 16
-	flushEngageEWMA  = 1.5
-)
+// readSlab is the per-connection read slab size. One kernel read fills the
+// slab with as many frames as are available, and the decode loop consumes
+// them without further syscalls; the slab grows only for single frames
+// larger than it (after MaxMessage validation).
+const readSlab = 64 << 10
 
 // Network is a TCP-backed cluster transport.
 type Network struct {
@@ -151,14 +132,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.ReadBuffer <= 0 {
-		cfg.ReadBuffer = defaultReadBuffer
-	} else if cfg.ReadBuffer < minReadBuffer {
-		cfg.ReadBuffer = minReadBuffer
-	}
-	if cfg.FlushWindow == 0 {
-		cfg.FlushWindow = defaultFlushWindow
 	}
 	n := &Network{
 		cfg:       cfg,
@@ -423,10 +396,6 @@ type link struct {
 	conn   net.Conn // set by the writer once dialed
 	closed bool
 	dead   bool // connection failed; enqueues are dropped
-
-	// ewma tracks recent batch sizes (writer goroutine only); the adaptive
-	// flush window engages only while it shows a coalescible stream.
-	ewma float64
 }
 
 // enqueue appends one encoded frame; it reports false when the link no
@@ -473,8 +442,9 @@ func (l *link) die(err error) {
 
 // run is the link's writer goroutine: dial (with retries, so peers may start
 // later), handshake, then drain the queue in batches — every wakeup writes
-// all frames queued so far and flushes once, which coalesces bursts into few
-// syscalls while keeping the stream strictly FIFO.
+// all frames queued so far with one writev. Frames that queue while a writev
+// runs share the next one, so a busy link coalesces without waiting, and the
+// stream stays strictly FIFO.
 func (l *link) run() {
 	defer l.n.writeWg.Done()
 	conn, err := l.dial()
@@ -509,26 +479,6 @@ func (l *link) run() {
 		l.queue = nil
 		closed := l.closed
 		l.mu.Unlock()
-		if fw := l.n.cfg.FlushWindow; fw > 0 && !closed &&
-			len(batch) > 0 && len(batch) < flushBatchTarget && l.ewma > flushEngageEWMA {
-			// The stream has been coalescing well but this batch is small:
-			// wait briefly for stragglers so they share one writev.
-			deadline := time.Now().Add(fw)
-			for time.Now().Before(deadline) {
-				runtime.Gosched()
-				l.mu.Lock()
-				if len(l.queue) > 0 {
-					batch = append(batch, l.queue...)
-					l.queue = nil
-				}
-				closed = l.closed
-				l.mu.Unlock()
-				if len(batch) >= flushBatchTarget || closed {
-					break
-				}
-			}
-		}
-		l.ewma = 0.8*l.ewma + 0.2*float64(len(batch))
 		if len(batch) > 0 {
 			pending = pending[:0]
 			for _, frame := range batch {
@@ -618,7 +568,7 @@ func (n *Network) readLoop(conn net.Conn) {
 		n.connMu.Unlock()
 		conn.Close()
 	}()
-	buf := make([]byte, n.cfg.ReadBuffer)
+	buf := make([]byte, readSlab)
 	start, end := 0, 0
 	// fill ensures buf[start:end] holds at least need contiguous bytes,
 	// compacting or (for oversized frames, already length-validated) growing

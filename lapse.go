@@ -99,17 +99,18 @@ type NetworkConfig struct {
 // shared-memory rings instead of loopback sockets — set DisableSHM to force
 // plain TCP, SHMDir to override the ring directory (co-located processes
 // must agree on it; defaults to a per-deployment directory derived from
-// Addrs). ReadBuffer overrides the TCP read slab size (0 = 64 KiB). In
-// multi-process mode (Node >= 0), Run executes the worker function only for
-// this node's workers, the cluster barrier spans processes, and Init / Read
-// are limited to keys owned by this process's node — read converged values
-// through Worker.Pull instead. Watch Cluster.Err for link failures:
+// Addrs). Idle transport goroutines block — TCP link writers on their send
+// queue, ring consumers on a doorbell — instead of spinning, so the Go
+// scheduler alone decides where transport, server and worker goroutines
+// run. In multi-process mode (Node >= 0), Run executes the worker function
+// only for this node's workers, the cluster barrier spans processes, and
+// Init / Read are limited to keys owned by this process's node — read
+// converged values through Worker.Pull instead. Watch Cluster.Err for link failures:
 // operations whose messages were lost never complete.
 type TCPDeployment struct {
 	Addrs      []string
 	Node       int
 	MaxMessage int
-	ReadBuffer int
 	DisableSHM bool
 	SHMDir     string
 }
@@ -217,12 +218,6 @@ type Config struct {
 	// workloads. In multi-process deployments, Adaptive must be identical in
 	// every process.
 	Adaptive *AdaptiveConfig
-	// PinShards pins each server shard goroutine to one CPU core
-	// (sched_setaffinity; Linux only, no-op elsewhere), keeping a shard's
-	// slice of the parameter table cache-hot on one core. Worth enabling
-	// for server-bound workloads on dedicated machines; leave off on
-	// shared or oversubscribed hosts.
-	PinShards bool
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
 	// values in a node-local serving cache, the keys' home nodes track and
@@ -356,7 +351,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Addrs:      cfg.TCP.Addrs,
 			Node:       cfg.TCP.Node,
 			MaxMessage: cfg.TCP.MaxMessage,
-			ReadBuffer: cfg.TCP.ReadBuffer,
 			DisableSHM: cfg.TCP.DisableSHM,
 			SHMDir:     cfg.TCP.SHMDir,
 		}
@@ -374,7 +368,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	coreCfg := core.Config{
 		LocationCaches:   cfg.LocationCaches,
 		Unbatched:        cfg.DisableBatching,
-		PinShards:        cfg.PinShards,
 		Replicate:        cfg.Replicate,
 		ReplicaSyncEvery: cfg.ReplicaSyncEvery,
 	}
@@ -435,7 +428,10 @@ func (c *Cluster) Workers() int { return c.cl.TotalWorkers() }
 func (c *Cluster) Init(fn func(k Key, val []float32)) { c.sys.Init(fn) }
 
 // Read returns the authoritative current value of k (for evaluation between
-// Run calls, not for use inside workers).
+// Run calls, not for use inside workers). If k is still moving — the
+// adaptive controller relocates, replicates and demotes keys between Run
+// calls too — Read waits for the move to land, and panics only if it has
+// not landed within two seconds.
 func (c *Cluster) Read(k Key, dst []float32) { c.sys.ReadParameter(k, dst) }
 
 // Run spawns one goroutine per worker thread executing fn and waits for all
