@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"lapse/internal/harness"
+	"lapse/internal/transport/shm"
 )
 
 // TestMain lets the test binary stand in for the lapse-bench binary when the
@@ -48,6 +50,29 @@ func TestQuickBenchWritesReport(t *testing.T) {
 	if len(transports) != len(mpModes())*len(mpTransports()) {
 		t.Fatalf("multi-process cells = %v, want %d per transport of %v",
 			transports, len(mpModes()), mpTransports())
+	}
+	// -compare skips unmatched cells by design, so pin the sweep's shape
+	// here: with both transports available, the quick report must hold
+	// exactly the committed baseline's cells.
+	if shm.Supported() {
+		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var baseline Report
+		if err := json.Unmarshal(data, &baseline); err != nil {
+			t.Fatal(err)
+		}
+		cells := func(rs []Result) map[cell]bool {
+			set := make(map[cell]bool, len(rs))
+			for _, r := range rs {
+				set[r.cell()] = true
+			}
+			return set
+		}
+		if got, want := cells(report.Results), cells(baseline.Results); !maps.Equal(got, want) {
+			t.Fatalf("quick report cells differ from BENCH_baseline.json:\n got  %v\n want %v", got, want)
+		}
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_test.json")

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"time"
 
-	"lapse/internal/adaptive"
 	"lapse/internal/driver"
 	"lapse/internal/harness"
 	"lapse/internal/kv"
@@ -81,12 +80,12 @@ type childSpec struct {
 }
 
 // childReport is what the node-0 child prints on stdout: the transport the
-// driver actually selected plus its measured point. Ops (and so Throughput)
+// driver actually selected plus its measured window. Ops (and so Throughput)
 // are cluster-wide — the measured window is barrier-aligned across the
 // processes — while Stats and Net are node 0's local view.
 type childReport struct {
 	Transport string
-	Point     harness.HotKeyPoint
+	Window    harness.Window
 }
 
 // runChildNode hosts one node of a multi-process cell. Exit status is the
@@ -128,14 +127,7 @@ func runChildNode(specJSON string) int {
 		cl.Close()
 		return 1
 	}
-	opt := driver.Options{ReplicaSyncEvery: cfg.SyncEvery}
-	if mode == harness.HotKeyReplication {
-		opt.Replicate = cfg.HotKeys()
-	}
-	if mode == harness.HotKeyAdaptive {
-		opt.Adaptive = &adaptive.Config{}
-	}
-	ps := driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt)
+	ps := driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), cfg.Options(mode))
 	par := harness.Parallelism{Nodes: sp.Nodes, Workers: sp.Workers, Shards: sp.Shards}
 	pt := harness.RunHotKeysNode(par, cl, ps, cfg, mode)
 	cl.Close()
@@ -145,7 +137,7 @@ func runChildNode(specJSON string) int {
 		return 1
 	}
 	if sp.Node == 0 {
-		if err := json.NewEncoder(os.Stdout).Encode(childReport{Transport: sp.Transport, Point: pt}); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(childReport{Transport: sp.Transport, Window: pt}); err != nil {
 			fmt.Fprintf(os.Stderr, "lapse-bench: node 0 report: %v\n", err)
 			return 1
 		}
@@ -156,67 +148,31 @@ func runChildNode(specJSON string) int {
 // runMultiProcessCells executes the real-transport sweep and returns its
 // result cells.
 func runMultiProcessCells(quick bool) ([]Result, error) {
-	ops, attempts := mpOpsPerWorker, 1
+	ops := mpOpsPerWorker
 	if quick {
-		// Same best-of-N policy as the in-process quick cells: short runs
-		// are noisy, the -compare gate wants minima of the noise floor.
-		ops, attempts = mpQuickOps, 3
+		ops = mpQuickOps
 	}
 	var results []Result
 	for _, tr := range mpTransports() {
 		for _, mode := range mpModes() {
-			pt, err := runMultiProcessOnce(tr, mode, ops)
+			key := cell{Workload: "zipf", Mode: string(mode), Nodes: mpNodes, Workers: mpWorkers,
+				Shards: mpShards, Transport: tr}
+			r, err := measureCell(key, quick, func() (harness.Window, error) {
+				return runMultiProcessOnce(tr, mode, ops)
+			})
 			if err != nil {
 				return nil, err
 			}
-			allocs, bytesPer := pt.AllocsPerOp(), pt.BytesPerOp()
-			p50, p99, p999 := pullQuantiles(pt)
-			for a := 1; a < attempts; a++ {
-				again, err := runMultiProcessOnce(tr, mode, ops)
-				if err != nil {
-					return nil, err
-				}
-				if again.Throughput() > pt.Throughput() {
-					pt = again
-				}
-				allocs = min(allocs, again.AllocsPerOp())
-				bytesPer = min(bytesPer, again.BytesPerOp())
-				a50, a99, a999 := pullQuantiles(again)
-				p50, p99, p999 = min(p50, a50), min(p99, a99), min(p999, a999)
-			}
-			results = append(results, Result{
-				Workload:            "zipf",
-				Mode:                string(mode),
-				Nodes:               mpNodes,
-				Workers:             mpWorkers,
-				Shards:              mpShards,
-				Transport:           tr,
-				Ops:                 pt.Ops,
-				Seconds:             pt.Elapsed.Seconds(),
-				Throughput:          pt.Throughput(),
-				AllocsPerOp:         allocs,
-				BytesPerOp:          bytesPer,
-				NetworkMessages:     pt.Net.RemoteMessages,
-				NetworkBytes:        pt.Net.RemoteBytes,
-				LocalReads:          pt.Stats.LocalReads,
-				RemoteReads:         pt.Stats.RemoteReads,
-				ReplicaHits:         pt.Stats.ReplicaHits,
-				ReplicaSyncMessages: pt.Stats.ReplicaSyncMessages,
-				Relocations:         pt.Stats.Relocations,
-				AdaptTransitions:    pt.Stats.AdaptPromotions + pt.Stats.AdaptDemotions + pt.Stats.AdaptRelocations,
-				PullP50Ns:           p50,
-				PullP99Ns:           p99,
-				PullP999Ns:          p999,
-			})
+			results = append(results, r)
 		}
 	}
 	return results, nil
 }
 
 // runMultiProcessOnce launches one process per node for a single cell run
-// and returns node 0's measured point.
-func runMultiProcessOnce(transport string, mode harness.HotKeyMode, ops int) (harness.HotKeyPoint, error) {
-	var zero harness.HotKeyPoint
+// and returns node 0's measured window.
+func runMultiProcessOnce(transport string, mode harness.HotKeyMode, ops int) (harness.Window, error) {
+	var zero harness.Window
 	exe, err := os.Executable()
 	if err != nil {
 		return zero, fmt.Errorf("lapse-bench: multiproc: %w", err)
@@ -282,7 +238,7 @@ func runMultiProcessOnce(transport string, mode harness.HotKeyMode, ops int) (ha
 		return zero, fmt.Errorf("lapse-bench: multiproc %s/%s: parse node 0 report: %w\n%s",
 			transport, mode, err, node0.Bytes())
 	}
-	return rep.Point, nil
+	return rep.Window, nil
 }
 
 // reserveAddrs picks n distinct loopback ports by briefly binding them; the

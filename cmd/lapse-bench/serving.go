@@ -11,66 +11,20 @@ var servingPar = harness.Parallelism{Nodes: 2, Workers: 2, Shards: 1}
 
 // runServingCells measures the open-loop serving workload once per read path
 // (plain batched Pull vs lease-cached MultiGet) at the same arrival schedule.
-// Like the hot-key cells, quick runs take best-of-3 with per-cell minima for
-// the latency and allocation columns so the -compare gate trips on genuine
-// regressions rather than one descheduled run.
 func runServingCells(quick bool) []Result {
 	cfg := harness.ServingWorkload()
 	if quick {
 		cfg.Requests /= 2
 	}
-	attempts := 1
-	if quick {
-		attempts = 3
-	}
 	results := make([]Result, 0, len(harness.ServingModes()))
 	for _, mode := range harness.ServingModes() {
-		pt := harness.RunServing(servingPar, cfg, mode)
-		allocs, bytesPer := pt.AllocsPerOp(), pt.BytesPerOp()
-		p50, p99, p999 := sojournQuantiles(pt)
-		for a := 1; a < attempts; a++ {
-			again := harness.RunServing(servingPar, cfg, mode)
-			if again.Throughput() > pt.Throughput() {
-				pt = again
-			}
-			allocs = min(allocs, again.AllocsPerOp())
-			bytesPer = min(bytesPer, again.BytesPerOp())
-			a50, a99, a999 := sojournQuantiles(again)
-			p50, p99, p999 = min(p50, a50), min(p99, a99), min(p999, a999)
-		}
-		results = append(results, Result{
-			Workload:            "serving",
-			Mode:                string(mode),
-			Nodes:               servingPar.Nodes,
-			Workers:             servingPar.Workers,
-			Shards:              1,
-			Ops:                 pt.Requests,
-			Seconds:             pt.Elapsed.Seconds(),
-			Throughput:          pt.Throughput(),
-			AllocsPerOp:         allocs,
-			BytesPerOp:          bytesPer,
-			NetworkMessages:     pt.Net.RemoteMessages,
-			NetworkBytes:        pt.Net.RemoteBytes,
-			LocalReads:          pt.Stats.LocalReads,
-			RemoteReads:         pt.Stats.RemoteReads,
-			ReplicaHits:         pt.Stats.ReplicaHits,
-			ReplicaSyncMessages: pt.Stats.ReplicaSyncMessages,
-			Relocations:         pt.Stats.Relocations,
-			PullP50Ns:           p50,
-			PullP99Ns:           p99,
-			PullP999Ns:          p999,
-			ServingHits:         pt.Stats.ServingHits,
-			LeaseGrants:         pt.Stats.LeaseGrants,
-			LeaseInvalidations:  pt.Stats.LeaseInvalidations,
+		key := cell{Workload: "serving", Mode: string(mode), Nodes: servingPar.Nodes,
+			Workers: servingPar.Workers, Shards: servingPar.Shards}
+		// In-process runs return no error.
+		r, _ := measureCell(key, quick, func() (harness.Window, error) {
+			return harness.RunServing(servingPar, cfg, mode), nil
 		})
+		results = append(results, r)
 	}
 	return results
-}
-
-// sojournQuantiles returns a serving point's open-loop sojourn p50/p99/p999
-// in nanoseconds.
-func sojournQuantiles(pt harness.ServingPoint) (p50, p99, p999 int64) {
-	return pt.Sojourn.Quantile(0.5).Nanoseconds(),
-		pt.Sojourn.Quantile(0.99).Nanoseconds(),
-		pt.Sojourn.Quantile(0.999).Nanoseconds()
 }

@@ -26,7 +26,6 @@ func variants() map[string]Config {
 	return map[string]Config{
 		"pslite":    {},
 		"fastlocal": {FastLocalAccess: true},
-		"sparse":    {SparseStore: true},
 		"hashpart":  {Partitioner: nil}, // replaced below
 	}
 }

@@ -282,10 +282,12 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 		}
 	}
 	if nd.leased != nil && nd.leased[k].Load() != 0 {
-		// The key enters replication with outstanding serving leases:
-		// piggyback the revocation on the sync cycle's next refresh
-		// broadcast, which reaches every node anyway.
-		nd.queueRevoke(k)
+		// The key enters replication with outstanding serving leases. The
+		// key-addressed revokes go out ahead of the ManageReplicate
+		// broadcast below, on the same (link, shard) streams as any grant
+		// still in flight, so every holder drops its lease before it can
+		// read the replica.
+		nd.revokeLeases(k)
 	}
 	delete(sh.transitioning, k)
 	sh.stats.AdaptPromotions.Inc()

@@ -87,10 +87,6 @@ type Config struct {
 	// HomePartitioner statically assigns home nodes to keys. Defaults to
 	// range partitioning.
 	HomePartitioner partition.Partitioner
-	// Latches is the size of each store's latch list (0 = default 1000).
-	Latches int
-	// SparseStore selects sparse map stores instead of dense arrays.
-	SparseStore bool
 	// Unbatched disables per-destination message batching (measurement
 	// only).
 	Unbatched bool
@@ -253,18 +249,12 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		if !cl.Local(n) {
 			continue
 		}
-		var st store.Store
-		if cfg.SparseStore {
-			st = store.NewSparse(layout, cfg.Latches)
-		} else {
-			st = store.NewDense(layout, cfg.Latches)
-		}
 		srv := s.g.Node(n)
 		nd := &node{
 			sys:     s,
 			srv:     srv,
 			id:      n,
-			store:   st,
+			store:   store.NewDense(layout, store.DefaultLatches),
 			state:   make([]atomic.Uint32, nk),
 			owner:   make([]atomic.Int32, nk),
 			sh:      make([]*policyShard, srv.Shards()),
@@ -613,12 +603,6 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 		// successive sync rounds keep their per-link order.
 		sh.nd.rep.HandleSync(t)
 	case *msg.ReplicaRefresh:
-		// Piggybacked lease revocations must apply before the refresh: a
-		// worker that observes the refreshed replica must not fall back to a
-		// stale cached lease afterwards.
-		if len(t.Revoke) > 0 {
-			sh.nd.servingInvalidate(t.Revoke, &sh.stats.LeaseInvalidations)
-		}
 		sh.nd.rep.HandleRefresh(t)
 	case *msg.LeaseRevoke:
 		sh.nd.servingInvalidate(t.Keys, &sh.stats.LeaseInvalidations)

@@ -528,24 +528,6 @@ func TestUnsortedAndDuplicateFreeKeys(t *testing.T) {
 	}
 }
 
-func TestSparseStoreVariant(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 2, Config{SparseStore: true})
-	h := sys.Handle(0)
-	if err := h.Localize([]kv.Key{5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Push([]kv.Key{5}, []float32{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float32, 2)
-	if err := h.Pull([]kv.Key{5}, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 // TestRelocationStressWithLatency runs a high-conflict workload under real
 // message latency to exercise queuing, chaining, and double-forwarding.
 func TestRelocationStressWithLatency(t *testing.T) {

@@ -36,10 +36,11 @@ import (
 //     without the cache).
 //   - Cross-node invalidation: the owner tracks lease holders per key and
 //     revokes on writes, on relocation (transfer-out), and on promotion into
-//     replication. Write/relocation revokes travel as key-addressed
-//     LeaseRevoke messages — FIFO, per (link, shard), with the grant they
-//     chase — and promotion revokes piggyback on the replication sync cycle's
-//     ReplicaRefresh broadcast (Revoke field). One grant-side race is
+//     replication. All three travel as key-addressed LeaseRevoke messages —
+//     FIFO, per (link, shard), with the grant they chase; a promotion's
+//     revokes go out ahead of its ManageReplicate broadcast on the same
+//     streams, so a holder drops its lease before it installs the replica.
+//     One grant-side race is
 //     deliberately tolerated: a shard goroutine serving a remote leased pull
 //     can read the pre-write value and register the lease after a concurrent
 //     owner-local write saw leased[k]==0 and skipped revocation, so that one
@@ -248,25 +249,8 @@ func (nd *node) revokeLeases(k kv.Key) {
 	}
 }
 
-// queueRevoke routes a promotion's lease revocation through the replication
-// sync cycle: the key is entering replication, so the next ReplicaRefresh
-// broadcast — which every node receives — carries the revocation piggybacked
-// in its Revoke field, costing no extra message.
-func (nd *node) queueRevoke(k kv.Key) {
-	reg := nd.leases
-	reg.mu.Lock()
-	_, ok := reg.holders[k]
-	delete(reg.holders, k)
-	nd.leased[k].Store(0)
-	reg.mu.Unlock()
-	if ok {
-		nd.srv.Shard(0).Stats().LeaseRevokes.Inc()
-		nd.rep.QueueRevoke(k)
-	}
-}
-
-// servingInvalidate drops the local cache entries of keys after a revocation
-// arrived (direct LeaseRevoke or piggybacked on a ReplicaRefresh).
+// servingInvalidate drops the local cache entries of keys after a LeaseRevoke
+// arrived.
 func (nd *node) servingInvalidate(keys []kv.Key, c *metrics.Counter) {
 	if nd.serving == nil {
 		return

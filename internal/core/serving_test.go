@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"lapse/internal/adaptive"
+	"lapse/internal/cluster"
 	"lapse/internal/kv"
+	"lapse/internal/metrics"
+	"lapse/internal/simnet"
 )
 
 // servingTestConfig enables the serving tier with a TTL long enough that any
@@ -213,5 +217,90 @@ func TestForwardedLeasePullStillGranted(t *testing.T) {
 	}
 	if got := sys.Stats()[0].ServingHits.Load(); got != 1 {
 		t.Fatalf("serving hits = %d, want 1 (forwarded grant never installed)", got)
+	}
+}
+
+// TestPromotionRevokesRemoteLease pins the lease-revocation path of a key
+// promoted into replication while a remote node holds a serving lease on it.
+// With several shards per node, only a key-addressed LeaseRevoke sent ahead
+// of the ManageReplicate broadcast stays FIFO with a grant still in flight on
+// the key's own shard. The holder must drop its lease, then serve the key
+// from its replica, and observe the owner's later write — far inside the 30s
+// lease TTL, so the freshness comes from revocation and sync, never expiry.
+func TestPromotionRevokesRemoteLease(t *testing.T) {
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: 4}})
+	cfg := servingTestConfig()
+	cfg.Adaptive = &adaptive.Config{
+		Tick:          2 * time.Millisecond,
+		HotCount:      16,
+		ColdCount:     1,
+		MinDwellTicks: 1,
+		// No share can reach 2: a hot key is always replicated, never
+		// relocated, so only the promotion can revoke the lease.
+		DominanceShare: 2,
+		// The key must stay replicated for the rest of the test.
+		ColdStreakEpochs: 1 << 20,
+	}
+	sys := New(cl, kv.NewUniformLayout(8, 1), cfg)
+	t.Cleanup(func() {
+		cl.Close()
+		sys.Shutdown()
+	})
+	node := func(n int) metrics.Totals { return metrics.Sum(sys.NodeStats(n)) }
+	h0, h1 := sys.Handle(0).(servingKV), sys.Handle(1)
+	keys := []kv.Key{6} // homed at node 1
+	buf := make([]float32, 1)
+	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if node(1).LeaseGrants == 0 {
+		t.Fatal("home node granted no lease")
+	}
+	// Both nodes read the key until the home promotes it.
+	deadline := time.Now().Add(15 * time.Second)
+	for node(1).AdaptPromotions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("key never promoted: home stats %+v", node(1))
+		}
+		for i := 0; i < 64; i++ {
+			if err := h0.Pull(keys, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := h1.Pull(keys, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for node(0).LeaseInvalidations == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("holder never dropped its lease: holder %+v, home %+v", node(0), node(1))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if node(1).LeaseRevokes == 0 {
+		t.Fatal("home recorded no lease revocation for the promoted key")
+	}
+	// The holder now reads its replica, not the dropped lease.
+	hits := node(0).ReplicaHits
+	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if node(0).ReplicaHits == hits {
+		t.Fatalf("MultiGet of the promoted key was not served by the replica: %+v", node(0))
+	}
+	if err := h1.Push(keys, []float32{5}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] == 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("holder never observed the owner's write: MultiGet returns %v", buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -123,17 +123,21 @@ func newCluster(par Parallelism) *cluster.Cluster {
 	})
 }
 
-// withPS runs fn on a fresh cluster+PS (default network profile).
-func withPS(kind driver.Kind, par Parallelism, layout kv.Layout, staleness int,
-	fn func(cl *cluster.Cluster, ps driver.PS)) {
-	withPSNet(kind, par, layout, staleness, NetProfile(par.Nodes), fn)
+// trainingOptions are the build options of the paper's training cells: the
+// stale PS variants run with staleness 1.
+var trainingOptions = driver.Options{Staleness: 1}
+
+// withPS runs fn on a fresh training cluster+PS (default network profile).
+func withPS(kind driver.Kind, par Parallelism, layout kv.Layout, fn func(cl *cluster.Cluster, ps driver.PS)) {
+	withPSNet(kind, par, layout, trainingOptions, NetProfile(par.Nodes), fn)
 }
 
-// withPSNet is withPS with an explicit network configuration.
-func withPSNet(kind driver.Kind, par Parallelism, layout kv.Layout, staleness int,
+// withPSNet runs fn on a fresh cluster+PS built with opt over net, and tears
+// both down afterwards.
+func withPSNet(kind driver.Kind, par Parallelism, layout kv.Layout, opt driver.Options,
 	net simnet.Config, fn func(cl *cluster.Cluster, ps driver.PS)) {
 	cl := cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
-	ps := driver.Build(kind, cl, layout, driver.Options{Staleness: staleness})
+	ps := driver.Build(kind, cl, layout, opt)
 	defer func() {
 		cl.Close()
 		ps.Shutdown()
@@ -166,7 +170,7 @@ func MFScaledConfig(variant string) mf.Config {
 // RunMFCell measures one epoch of DSGD for one system at one parallelism.
 func RunMFCell(kind driver.Kind, par Parallelism, cfg mf.Config, m *data.Matrix) Point {
 	var pt Point
-	withPS(kind, par, cfg.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
+	withPS(kind, par, cfg.Layout(), func(cl *cluster.Cluster, ps driver.PS) {
 		res, err := mf.RunOnMatrix(cl, ps, kind, cfg, m)
 		if err != nil {
 			panic(fmt.Sprintf("harness: MF %s %s: %v", kind, par, err))
@@ -234,7 +238,7 @@ func Figure9(variant string, pars []Parallelism) []Series {
 	cfg2.Epochs = 2
 	for _, par := range pars {
 		var w, st Point
-		withPS(driver.SSPServer, par, cfg2.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
+		withPS(driver.SSPServer, par, cfg2.Layout(), func(cl *cluster.Cluster, ps driver.PS) {
 			res, err := mf.RunOnMatrix(cl, ps, driver.SSPServer, cfg2, m)
 			if err != nil {
 				panic(err)
@@ -339,7 +343,7 @@ func KGENetProfile(task KGETask, nodes int) simnet.Config {
 // RunKGECell measures one KGE epoch.
 func RunKGECell(v KGEVariant, task KGETask, par Parallelism, cfg kge.Config, kg *data.KG) Point {
 	var pt Point
-	withPSNet(v.Kind, par, cfg.Layout(), 1, KGENetProfile(task, par.Nodes), func(cl *cluster.Cluster, ps driver.PS) {
+	withPSNet(v.Kind, par, cfg.Layout(), trainingOptions, KGENetProfile(task, par.Nodes), func(cl *cluster.Cluster, ps driver.PS) {
 		res, err := kge.RunOnKG(cl, ps, v.Kind, cfg, v.Mode, kg)
 		if err != nil {
 			panic(fmt.Sprintf("harness: KGE %s %s: %v", v.Label, par, err))
@@ -406,7 +410,7 @@ func W2VScaledConfig() w2v.Config {
 func RunW2VCell(kind driver.Kind, useLH bool, par Parallelism, cfg w2v.Config, c *data.Corpus) (Point, *w2v.Result) {
 	var pt Point
 	var out *w2v.Result
-	withPS(kind, par, cfg.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
+	withPS(kind, par, cfg.Layout(), func(cl *cluster.Cluster, ps driver.PS) {
 		res, err := w2v.RunOnCorpus(cl, ps, kind, cfg, useLH, c)
 		if err != nil {
 			panic(fmt.Sprintf("harness: W2V %s %s: %v", kind, par, err))

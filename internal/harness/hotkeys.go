@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"lapse/internal/adaptive"
@@ -13,7 +11,6 @@ import (
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/simnet"
-	"lapse/internal/transport"
 )
 
 // The hot-key workloads exercise the case the paper's future-work section
@@ -115,162 +112,56 @@ func HotKeyWorkloads() map[string]HotKeyConfig {
 	}
 }
 
-// HotKeyPoint is one measured hot-key workload run.
-type HotKeyPoint struct {
-	Par     Parallelism
-	Mode    HotKeyMode
-	Elapsed time.Duration
-	Ops     int64
-	// Allocs and AllocBytes are the process-wide heap allocation deltas
-	// (runtime.MemStats Mallocs / TotalAlloc) across the measured run —
-	// the GC-pressure trajectory of the message path.
-	Allocs     int64
-	AllocBytes int64
-	// Stats carries the cluster-wide server-counter totals; Net the
-	// transport traffic counters.
-	Stats metrics.Totals
-	Net   transport.Stats
-	// Lat is the end-to-end operation-latency snapshot of the measured
-	// window (warmup excluded), merged over this process's workers.
-	Lat metrics.LatencySnapshot
-}
-
-// Throughput returns key accesses per second of wall-clock time.
-func (p HotKeyPoint) Throughput() float64 {
-	if p.Elapsed <= 0 {
-		return 0
+// Options returns the Lapse build options of the workload under mode: the
+// hot set replicated statically, or the adaptive controller with defaults.
+func (c HotKeyConfig) Options(mode HotKeyMode) driver.Options {
+	opt := driver.Options{ReplicaSyncEvery: c.SyncEvery}
+	switch mode {
+	case HotKeyReplication:
+		opt.Replicate = c.HotKeys()
+	case HotKeyAdaptive:
+		opt.Adaptive = &adaptive.Config{}
 	}
-	return float64(p.Ops) / p.Elapsed.Seconds()
-}
-
-// AllocsPerOp returns heap allocations per key access.
-func (p HotKeyPoint) AllocsPerOp() float64 {
-	if p.Ops <= 0 {
-		return 0
-	}
-	return float64(p.Allocs) / float64(p.Ops)
-}
-
-// BytesPerOp returns heap bytes allocated per key access.
-func (p HotKeyPoint) BytesPerOp() float64 {
-	if p.Ops <= 0 {
-		return 0
-	}
-	return float64(p.AllocBytes) / float64(p.Ops)
+	return opt
 }
 
 // RunHotKeys executes the hot-key workload on Lapse with the given
-// management technique and returns the measured point.
-func RunHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) HotKeyPoint {
+// management technique and returns the measured window.
+func RunHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) Window {
 	net := cfg.Net
 	net.Nodes = par.Nodes
 	net.Shards = par.Shards
-	cl := cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
-	opt := driver.Options{ReplicaSyncEvery: cfg.SyncEvery}
-	if mode == HotKeyReplication {
-		opt.Replicate = cfg.HotKeys()
-	}
-	if mode == HotKeyAdaptive {
-		opt.Adaptive = &adaptive.Config{}
-	}
-	ps := driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt)
-	defer func() {
-		cl.Close()
-		ps.Shutdown()
-	}()
-	return RunHotKeysNode(par, cl, ps, cfg, mode)
+	var w Window
+	withPSNet(driver.Lapse, par, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), cfg.Options(mode), net,
+		func(cl *cluster.Cluster, ps driver.PS) { w = RunHotKeysNode(par, cl, ps, cfg, mode) })
+	return w
 }
 
 // RunHotKeysNode executes this process's share of the hot-key workload on a
 // cluster that may span OS processes — one per node, each calling this with
 // identical par/cfg/mode. The caller owns cl and ps (built for its node of
 // the deployment) and closes them afterwards. Workers first drive the
-// workload unmeasured for cfg.Warmup; cluster-wide barriers then bound the
-// measured window so every process times the same span of settled-state
-// work, with counter baselines excluding the warmup traffic. WaitAll inside
-// the worker loop completes in-flight operations before the end barrier. Ops counts the whole cluster's accesses, so with the
-// barrier-aligned window Throughput is the cluster-wide rate; Stats,
-// allocation deltas, and Net cover only this process.
-func RunHotKeysNode(par Parallelism, cl *cluster.Cluster, ps driver.PS, cfg HotKeyConfig, mode HotKeyMode) HotKeyPoint {
-	b := cl.Barrier()
-	var (
-		mu            sync.Mutex
-		before, after runtime.MemStats
-		start         time.Time
-		elapsed       time.Duration
-		statsBase     metrics.Totals
-		netBase       transport.Stats
-		latBase       metrics.LatencySnapshot
-	)
-	cl.RunWorkers(func(node, worker int) {
-		warmHotKeyWorker(cl, ps, cfg, mode, worker)
-		b.Wait(node)
-		mu.Lock()
-		if start.IsZero() {
-			// Counter baselines exclude the warmup traffic from the
-			// reported window (snapshot is racy against workers already
-			// past the barrier by at most a few operations).
-			statsBase = metrics.Sum(ps.Stats())
-			netBase = cl.Net().Stats()
-			latBase = ps.Latencies()
-			runtime.ReadMemStats(&before)
-			start = time.Now()
-		}
-		mu.Unlock()
-		runHotKeyWorker(cl, ps, cfg, mode, worker)
-		b.Wait(node)
-		mu.Lock()
-		if elapsed == 0 {
-			elapsed = time.Since(start)
-			runtime.ReadMemStats(&after)
-		}
-		mu.Unlock()
-	})
-	return HotKeyPoint{
-		Par:        par,
-		Mode:       mode,
-		Elapsed:    elapsed,
-		Ops:        int64(par.Nodes * par.Workers * cfg.OpsPerWorker),
-		Allocs:     int64(after.Mallocs - before.Mallocs),
-		AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
-		Stats:      metrics.Sum(ps.Stats()).Since(statsBase),
-		Net:        cl.Net().Stats().Since(netBase),
-		Lat:        ps.Latencies().Sub(latBase),
-	}
-}
-
-// runHotKeyWorker is the measured per-worker access loop shared by
-// RunHotKeys and RunHotKeysNode. The worker index is global, so the
-// per-worker RNG streams are identical however the nodes are spread over
-// processes.
-func runHotKeyWorker(cl *cluster.Cluster, ps driver.PS, cfg HotKeyConfig, mode HotKeyMode, worker int) {
-	l := newHotKeyLoop(cl, ps, cfg, mode, worker, cfg.Seed+int64(worker))
-	for op := 0; op < cfg.OpsPerWorker; op++ {
-		l.step(op)
-	}
-	l.finish()
-}
-
-// warmupSeedOffset keeps the warmup RNG streams disjoint from the measured
-// phase's, which must stay identical with and without warmup.
-const warmupSeedOffset = 1 << 20
-
-// warmHotKeyWorker drives the same workload unmeasured until cfg.Warmup
-// elapses, then drains in-flight operations, so the measured window that
-// follows starts from steady state.
-func warmHotKeyWorker(cl *cluster.Cluster, ps driver.PS, cfg HotKeyConfig, mode HotKeyMode, worker int) {
-	if cfg.Warmup <= 0 {
-		return
-	}
-	l := newHotKeyLoop(cl, ps, cfg, mode, worker, cfg.Seed+warmupSeedOffset+int64(worker))
-	deadline := time.Now().Add(cfg.Warmup)
-	for op := 0; ; op++ {
-		if op&63 == 0 && op > 0 && !time.Now().Before(deadline) {
-			break
-		}
-		l.step(op)
-	}
-	l.finish()
+// workload unmeasured for cfg.Warmup, then run their measured accesses inside
+// one barrier-bounded window (see measure), so every process times the same
+// span of settled-state work.
+func RunHotKeysNode(par Parallelism, cl *cluster.Cluster, ps driver.PS, cfg HotKeyConfig, mode HotKeyMode) Window {
+	return measure(par, cl, ps, string(mode), int64(par.Nodes*par.Workers*cfg.OpsPerWorker),
+		func(worker int) {
+			if cfg.Warmup > 0 {
+				l := newHotKeyLoop(cl, ps, cfg, mode, worker, cfg.Seed+warmupSeedOffset+int64(worker))
+				warmUp(cfg.Warmup, 64, l.step, l.finish)
+			}
+		},
+		func(worker int, _ time.Time) metrics.HistSnapshot {
+			// The worker index is global, so the per-worker RNG streams
+			// are identical however the nodes are spread over processes.
+			l := newHotKeyLoop(cl, ps, cfg, mode, worker, cfg.Seed+int64(worker))
+			for op := 0; op < cfg.OpsPerWorker; op++ {
+				l.step(op)
+			}
+			l.finish()
+			return metrics.HistSnapshot{}
+		})
 }
 
 // hotKeyLoop is one worker's workload state: the sampled key stream and the

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"lapse/internal/cluster"
@@ -13,7 +11,6 @@ import (
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/simnet"
-	"lapse/internal/transport"
 )
 
 // The serving workload measures the read path the way an online serving tier
@@ -100,177 +97,65 @@ func ServingWorkload() ServingLoad {
 	}
 }
 
-// ServingPoint is one measured open-loop serving run.
-type ServingPoint struct {
-	Par  Parallelism
-	Mode ServingMode
-	// Elapsed is the wall-clock span from the first scheduled arrival to
-	// the last completion; in overload it exceeds the scheduled span.
-	Elapsed time.Duration
-	// Requests counts the cluster's completed read requests.
-	Requests int64
-	// Allocs and AllocBytes are the process-wide heap allocation deltas
-	// across the measured window.
-	Allocs     int64
-	AllocBytes int64
-	// Sojourn is the distribution of completion-minus-scheduled-arrival
-	// over this process's read requests.
-	Sojourn metrics.HistSnapshot
-	// Stats carries the cluster-wide server-counter totals of the measured
-	// window; Net the transport traffic counters.
-	Stats metrics.Totals
-	Net   transport.Stats
-}
-
-// Throughput returns completed read requests per second of wall-clock time.
-func (p ServingPoint) Throughput() float64 {
-	if p.Elapsed <= 0 {
-		return 0
-	}
-	return float64(p.Requests) / p.Elapsed.Seconds()
-}
-
-// AllocsPerOp returns heap allocations per read request.
-func (p ServingPoint) AllocsPerOp() float64 {
-	if p.Requests <= 0 {
-		return 0
-	}
-	return float64(p.Allocs) / float64(p.Requests)
-}
-
-// BytesPerOp returns heap bytes allocated per read request.
-func (p ServingPoint) BytesPerOp() float64 {
-	if p.Requests <= 0 {
-		return 0
-	}
-	return float64(p.AllocBytes) / float64(p.Requests)
-}
-
 // RunServing executes the open-loop serving workload on Lapse with the given
-// read path and returns the measured point.
-func RunServing(par Parallelism, cfg ServingLoad, mode ServingMode) ServingPoint {
+// read path and returns the measured window.
+func RunServing(par Parallelism, cfg ServingLoad, mode ServingMode) Window {
 	net := cfg.Net
 	net.Nodes = par.Nodes
 	net.Shards = par.Shards
-	cl := cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
 	var opt driver.Options
 	if mode == ServingMultiGet {
 		opt.Serving = &core.ServingConfig{TTL: cfg.TTL}
 	}
-	ps := driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt)
-	defer func() {
-		cl.Close()
-		ps.Shutdown()
-	}()
-	return RunServingNode(par, cl, ps, cfg, mode)
+	var w Window
+	withPSNet(driver.Lapse, par, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt, net,
+		func(cl *cluster.Cluster, ps driver.PS) { w = RunServingNode(par, cl, ps, cfg, mode) })
+	return w
 }
 
 // RunServingNode executes this process's share of the serving workload; the
 // caller owns cl and ps and closes them afterwards. Workers first warm the
-// cluster closed-loop for cfg.Warmup; a cluster-wide barrier then opens the
-// measured window, all workers pace their requests off one shared start
-// instant, and a second barrier closes the window after every worker drained
-// its in-flight operations. Requests counts the whole cluster's reads;
-// Sojourn, Stats, allocation deltas, and Net cover this process.
-func RunServingNode(par Parallelism, cl *cluster.Cluster, ps driver.PS, cfg ServingLoad, mode ServingMode) ServingPoint {
-	b := cl.Barrier()
-	var (
-		mu            sync.Mutex
-		before, after runtime.MemStats
-		start         time.Time
-		elapsed       time.Duration
-		statsBase     metrics.Totals
-		netBase       transport.Stats
-		sojourn       metrics.HistSnapshot
-	)
-	cl.RunWorkers(func(node, worker int) {
-		warmServingWorker(ps, cfg, mode, worker)
-		b.Wait(node)
-		mu.Lock()
-		if start.IsZero() {
-			statsBase = metrics.Sum(ps.Stats())
-			netBase = cl.Net().Stats()
-			runtime.ReadMemStats(&before)
-			// The pacing epoch: every worker of this process schedules
-			// its arrivals off the same instant.
-			start = time.Now()
-		}
-		base := start
-		mu.Unlock()
-		hist := runServingWorker(cl, ps, cfg, mode, worker, par, base)
-		b.Wait(node)
-		mu.Lock()
-		sojourn.Merge(hist)
-		if elapsed == 0 {
-			elapsed = time.Since(base)
-			runtime.ReadMemStats(&after)
-		}
-		mu.Unlock()
-	})
-	return ServingPoint{
-		Par:        par,
-		Mode:       mode,
-		Elapsed:    elapsed,
-		Requests:   int64(par.Nodes * par.Workers * cfg.Requests),
-		Allocs:     int64(after.Mallocs - before.Mallocs),
-		AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
-		Sojourn:    sojourn,
-		Stats:      metrics.Sum(ps.Stats()).Since(statsBase),
-		Net:        cl.Net().Stats().Since(netBase),
-	}
+// cluster closed-loop for cfg.Warmup; the measured window (see measure) then
+// opens, all workers pace their requests off its start instant, and it closes
+// after every worker drained its in-flight operations. Ops counts the whole
+// cluster's read requests; Sojourn covers this process's.
+func RunServingNode(par Parallelism, cl *cluster.Cluster, ps driver.PS, cfg ServingLoad, mode ServingMode) Window {
+	return measure(par, cl, ps, string(mode), int64(par.Nodes*par.Workers*cfg.Requests),
+		func(worker int) {
+			// Closed-loop (unpaced) warmup settles relocation and location
+			// caches and pre-populates the serving cache.
+			if cfg.Warmup > 0 {
+				l := newServingLoop(ps, cfg, mode, worker, cfg.Seed+warmupSeedOffset+int64(worker))
+				warmUp(cfg.Warmup, 16, l.step, l.finish)
+			}
+		},
+		func(worker int, start time.Time) metrics.HistSnapshot {
+			// Worker `worker` owns arrivals worker, worker+W, worker+2W, …
+			// of the cluster-wide schedule at cfg.Rate.
+			l := newServingLoop(ps, cfg, mode, worker, cfg.Seed+int64(worker))
+			var hist metrics.Histogram
+			w := par.Nodes * par.Workers
+			perNs := float64(time.Second) / cfg.Rate
+			for i := 0; i < cfg.Requests; i++ {
+				sched := start.Add(time.Duration(float64(i*w+worker) * perNs))
+				if wait := time.Until(sched); wait > 0 {
+					// Simulated networks sleep precisely through their
+					// central scheduler, so paced workers overlap in wall
+					// time.
+					cl.Compute(wait)
+				}
+				l.read(i)
+				hist.Observe(time.Since(sched))
+				l.pushAfter(i)
+			}
+			l.finish()
+			return hist.Snapshot()
+		})
 }
 
 // multiGetter is the serving-tier read interface of the Lapse handle.
 type multiGetter interface {
 	MultiGet(keys []kv.Key, dst []float32) *kv.Future
-}
-
-// runServingWorker paces one worker through its slice of the arrival
-// schedule and returns its sojourn histogram.
-func runServingWorker(cl *cluster.Cluster, ps driver.PS, cfg ServingLoad, mode ServingMode,
-	worker int, par Parallelism, start time.Time) metrics.HistSnapshot {
-	l := newServingLoop(ps, cfg, mode, worker, cfg.Seed+int64(worker))
-	var hist metrics.Histogram
-	w := par.Nodes * par.Workers
-	// Worker `worker` owns arrivals worker, worker+W, worker+2W, … of the
-	// cluster-wide schedule at cfg.Rate.
-	perNs := float64(time.Second) / cfg.Rate
-	for i := 0; i < cfg.Requests; i++ {
-		sched := start.Add(time.Duration(float64(i*w+worker) * perNs))
-		if wait := time.Until(sched); wait > 0 {
-			// Simulated networks sleep precisely through their central
-			// scheduler, so paced workers overlap in wall time.
-			cl.Compute(wait)
-		}
-		l.read(i)
-		hist.Observe(time.Since(sched))
-		if cfg.PushEvery > 0 && i%cfg.PushEvery == cfg.PushEvery-1 {
-			l.push()
-		}
-	}
-	l.finish()
-	return hist.Snapshot()
-}
-
-// warmServingWorker drives the same key distribution closed-loop (unpaced)
-// until cfg.Warmup elapses, settling relocation and location caches and
-// pre-populating the serving cache.
-func warmServingWorker(ps driver.PS, cfg ServingLoad, mode ServingMode, worker int) {
-	if cfg.Warmup <= 0 {
-		return
-	}
-	l := newServingLoop(ps, cfg, mode, worker, cfg.Seed+warmupSeedOffset+int64(worker))
-	deadline := time.Now().Add(cfg.Warmup)
-	for i := 0; ; i++ {
-		if i&15 == 0 && i > 0 && !time.Now().Before(deadline) {
-			break
-		}
-		l.read(i)
-		if cfg.PushEvery > 0 && i%cfg.PushEvery == cfg.PushEvery-1 {
-			l.push()
-		}
-	}
-	l.finish()
 }
 
 // servingLoop is one worker's request state: the sampled key stream, the
@@ -348,11 +233,21 @@ func (l *servingLoop) read(i int) {
 	}
 }
 
-// push issues an asynchronous single-key write, sampled from the same
-// distribution, so leases on hot keys actually get invalidated.
-func (l *servingLoop) push() {
-	l.pkey[0] = l.sample()
-	l.h.PushAsync(l.pkey, l.delta)
+// pushAfter issues, after every PushEvery-th read request, an asynchronous
+// single-key write sampled from the same distribution, so leases on hot keys
+// actually get invalidated.
+func (l *servingLoop) pushAfter(i int) {
+	if l.cfg.PushEvery > 0 && i%l.cfg.PushEvery == l.cfg.PushEvery-1 {
+		l.pkey[0] = l.sample()
+		l.h.PushAsync(l.pkey, l.delta)
+	}
+}
+
+// step issues the i-th request of the closed-loop warmup: a read and, every
+// PushEvery requests, a write.
+func (l *servingLoop) step(i int) {
+	l.read(i)
+	l.pushAfter(i)
 }
 
 // finish drains the worker's in-flight operations.

@@ -7,9 +7,10 @@ import (
 
 // TestRunServingModes runs a miniature open-loop serving workload through
 // both read paths on an instantaneous network: every scheduled request must
-// complete and be recorded in the sojourn histogram, the multiget path must
-// actually serve reads from the lease cache, and the pull path must never
-// touch it.
+// complete and be recorded in the sojourn histogram, the window must carry
+// the reads' end-to-end op latencies like every other window, the multiget
+// path must actually serve reads from the lease cache, and the pull path must
+// never touch it.
 func TestRunServingModes(t *testing.T) {
 	cfg := ServingLoad{
 		Keys: 256, ValLen: 4, Batch: 2,
@@ -21,11 +22,14 @@ func TestRunServingModes(t *testing.T) {
 	par := Parallelism{Nodes: 2, Workers: 2}
 	for _, mode := range ServingModes() {
 		pt := RunServing(par, cfg, mode)
-		if pt.Requests != int64(par.Nodes*par.Workers*cfg.Requests) {
-			t.Fatalf("%s: requests = %d, want %d", mode, pt.Requests, par.Nodes*par.Workers*cfg.Requests)
+		if pt.Ops != int64(par.Nodes*par.Workers*cfg.Requests) {
+			t.Fatalf("%s: requests = %d, want %d", mode, pt.Ops, par.Nodes*par.Workers*cfg.Requests)
 		}
-		if got := pt.Sojourn.Count(); got != pt.Requests {
-			t.Fatalf("%s: sojourn histogram holds %d observations, want %d", mode, got, pt.Requests)
+		if got := pt.Sojourn.Count(); got != pt.Ops {
+			t.Fatalf("%s: sojourn histogram holds %d observations, want %d", mode, got, pt.Ops)
+		}
+		if pt.Lat.Pull().Count() == 0 {
+			t.Fatalf("%s: window carries no read op-latency observations: %+v", mode, pt.Lat)
 		}
 		if pt.Elapsed <= 0 || pt.Throughput() <= 0 {
 			t.Fatalf("%s: degenerate point: %+v", mode, pt)

@@ -215,17 +215,12 @@ type ReplicaSync struct {
 // ReplicaRefresh fans the merged authoritative values of replicated keys
 // from their home node (Origin) back out to one replica node (phase 2 of
 // the sync cycle). Ack is the highest ReplicaSync.Seq received from the
-// destination whose deltas are reflected in Vals. Revoke piggybacks
-// serving-cache lease revocations on the sync traffic: the destination must
-// drop any cached lease for these keys before the refresh is considered
-// applied (a key entering replication invalidates leases granted while it
-// was relocation-managed).
+// destination whose deltas are reflected in Vals.
 type ReplicaRefresh struct {
 	Origin int32
 	Ack    uint32
 	Keys   []kv.Key
 	Vals   []float32
-	Revoke []kv.Key
 }
 
 // ManageKind discriminates the adaptive-management control operations carried
@@ -342,7 +337,7 @@ func Size(m any) int {
 	case *ReplicaSync:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *ReplicaRefresh:
-		return headerBytes + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Revoke)*keyBytes
+		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
 		return headerBytes + 1 + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Seqs)*seqBytes
 	case *LeaseRevoke:
@@ -428,7 +423,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.u32(t.Ack)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
-		w.keys(t.Revoke)
 	case *Manage:
 		w.header(KindManage, sz)
 		w.u8(byte(t.Kind))
@@ -627,8 +621,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(ReplicaRefresh)
 		}
-		*t = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals(),
-			Revoke: d.keys2()}
+		*t = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindManage:
 		var t *Manage
@@ -714,25 +707,6 @@ func (d *decoder) u64() uint64 {
 // (overflow-safe on 32-bit ints). With a scratch attached, the list is
 // decoded into the scratch's reusable key arena.
 func (d *decoder) keys() []kv.Key {
-	var arena *[]kv.Key
-	if d.s != nil {
-		arena = &d.s.keys
-	}
-	return d.keyList(arena)
-}
-
-// keys2 reads a key list into the scratch's second key arena. Messages with
-// two independent key lists (ReplicaRefresh.Keys + .Revoke) need distinct
-// backing or the second decode would alias — and overwrite — the first.
-func (d *decoder) keys2() []kv.Key {
-	var arena *[]kv.Key
-	if d.s != nil {
-		arena = &d.s.keys2
-	}
-	return d.keyList(arena)
-}
-
-func (d *decoder) keyList(arena *[]kv.Key) []kv.Key {
 	n := int(d.u32())
 	if d.err != nil {
 		return nil
@@ -745,11 +719,11 @@ func (d *decoder) keyList(arena *[]kv.Key) []kv.Key {
 		return nil
 	}
 	var keys []kv.Key
-	if arena != nil {
-		if cap(*arena) < n {
-			*arena = make([]kv.Key, n)
+	if d.s != nil {
+		if cap(d.s.keys) < n {
+			d.s.keys = make([]kv.Key, n)
 		}
-		keys = (*arena)[:n]
+		keys = d.s.keys[:n]
 	} else {
 		keys = make([]kv.Key, n)
 	}

@@ -144,11 +144,6 @@ type Manager struct {
 	// watermark persists across re-promotions — origin's rounds only grow —
 	// and costs a few words per demoted (key, origin) pair.
 	barrier map[kv.Key]map[int32]uint32
-	// revoke collects serving-tier lease revocations to piggyback on the next
-	// refresh broadcast (msg.ReplicaRefresh.Revoke): when a leased key is
-	// promoted into replication, every node hears about it through the sync
-	// cycle anyway, so the revocation rides along for free.
-	revoke []kv.Key
 
 	stop chan struct{}
 	done chan struct{}
@@ -451,17 +446,6 @@ func (m *Manager) AuthValue(k kv.Key) []float32 {
 	return v
 }
 
-// QueueRevoke schedules a serving-tier lease revocation for k to piggyback
-// on this home's next ReplicaRefresh broadcast (background interval or
-// Flush). Used when a leased key is promoted into replication: the refresh
-// reaches every node, so no dedicated revocation message is needed. Safe
-// from any goroutine.
-func (m *Manager) QueueRevoke(k kv.Key) {
-	m.homeMu.Lock()
-	m.revoke = append(m.revoke, k)
-	m.homeMu.Unlock()
-}
-
 // Flush runs one sync round immediately (in addition to the background
 // interval): it drains every stripe's pending deltas — merging the shard
 // outputs into one ReplicaSync per home node before dispatch, so the round
@@ -548,12 +532,10 @@ func (m *Manager) mergeHomeLocked(k kv.Key, delta []float32) {
 // to every other node (appending one ReplicaRefresh per destination to out)
 // and installs them into the local replica directly. The values are copied
 // into the message under homeMu, so sending after release cannot race with
-// further merges. Queued lease revocations piggyback on the same messages
-// (one Revoke slice shared across destinations — transports encode on send
-// and retain nothing) and force a broadcast even when no key is dirty.
+// further merges.
 func (m *Manager) broadcast(out []outMsg) []outMsg {
 	m.homeMu.Lock()
-	if len(m.dirty) == 0 && len(m.revoke) == 0 {
+	if len(m.dirty) == 0 {
 		m.homeMu.Unlock()
 		return out
 	}
@@ -564,8 +546,6 @@ func (m *Manager) broadcast(out []outMsg) []outMsg {
 		vals = append(vals, m.auth[k]...)
 	}
 	clear(m.dirty)
-	revoke := m.revoke
-	m.revoke = nil
 	acks := make(map[int32]uint32, m.cfg.Nodes)
 	for dest := 0; dest < m.cfg.Nodes; dest++ {
 		acks[int32(dest)] = m.applied[int32(dest)]
@@ -580,7 +560,6 @@ func (m *Manager) broadcast(out []outMsg) []outMsg {
 			Ack:    acks[int32(dest)],
 			Keys:   keys,
 			Vals:   vals,
-			Revoke: revoke,
 		}})
 	}
 	// Install locally: this node's own deltas for its homed keys are merged

@@ -56,8 +56,6 @@ type Config struct {
 	ServerSync bool
 	// Partitioner assigns keys to server shards (default: range).
 	Partitioner partition.Partitioner
-	// Latches is the store latch-list size (0 = default).
-	Latches int
 	// Unbatched disables per-destination message batching (measurement
 	// only).
 	Unbatched bool
@@ -145,7 +143,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			sys:          s,
 			srv:          srv,
 			sh:           make([]*policyShard, srv.Shards()),
-			shard:        store.NewDense(layout, cfg.Latches),
+			shard:        store.NewDense(layout, store.DefaultLatches),
 			workerClocks: make([]int32, cl.TotalWorkers()),
 			subs:         make(map[int]map[kv.Key]struct{}),
 			replicas:     make(map[kv.Key]*replica),

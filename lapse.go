@@ -17,7 +17,10 @@
 // instead be managed by eventually-consistent replication via
 // Config.Replicate: every node then holds a local replica and a background
 // sync cycle merges updates. See examples/hotkeys for a complete program
-// and Cluster.HotKeys for identifying candidates.
+// and Cluster.HotKeys for identifying candidates. Setting Config.Adaptive
+// instead lets an online controller choose each key's technique at runtime
+// (replicate, relocate, or leave at home), with one built-in set of defaults
+// and no tuning knobs.
 //
 // # Quick start
 //
@@ -208,16 +211,16 @@ type Config struct {
 	Replicate []Key
 	// ReplicaSyncEvery is the replica sync interval (0 = 1ms).
 	ReplicaSyncEvery time.Duration
-	// Adaptive, when non-nil, enables adaptive per-key parameter management:
-	// an online controller that chooses each key's management technique at
-	// runtime — replication for keys hot at every node, relocation to the
-	// dominant accessor for locality-skewed keys, plain home placement for
-	// cold keys — instead of requiring a static Replicate list. Keys listed
-	// in Replicate seed the replicated set and may be demoted once they go
-	// cold. &AdaptiveConfig{} selects defaults that are meant to work across
-	// workloads. In multi-process deployments, Adaptive must be identical in
-	// every process.
-	Adaptive *AdaptiveConfig
+	// Adaptive enables adaptive per-key parameter management: an online
+	// controller that chooses each key's management technique at runtime —
+	// replication for keys hot at every node, relocation to the dominant
+	// accessor for locality-skewed keys, plain home placement for cold keys
+	// — instead of requiring a static Replicate list. Keys listed in
+	// Replicate seed the replicated set and may be demoted once they go
+	// cold. The controller runs with one set of defaults meant to work
+	// across workloads. In multi-process deployments, Adaptive must be
+	// identical in every process.
+	Adaptive bool
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
 	// values in a node-local serving cache, the keys' home nodes track and
@@ -238,48 +241,6 @@ type Config struct {
 	// JSON, and /debug/stats the raw aggregate statistics. The server runs
 	// until Close and uses only the standard library.
 	MetricsAddr string
-}
-
-// AdaptiveConfig tunes the adaptive management controller (Config.Adaptive).
-// Zero fields take documented defaults; one default set is meant to hold
-// across workloads, so most programs should leave all fields zero.
-type AdaptiveConfig struct {
-	// Tick is the controller period: every Tick, each node reports its
-	// hottest keys to their home nodes and halves its access tracker
-	// (0 = 5ms).
-	Tick time.Duration
-	// HotCount is the promotion threshold: a key whose decayed per-tick
-	// access estimate, summed over all nodes, reaches HotCount is placed
-	// under active management — replicated if it is hot everywhere,
-	// relocated if one node dominates its accesses (0 = 32).
-	HotCount int64
-	// ColdCount is the demotion threshold, strictly below HotCount so a key
-	// hovering between the two changes nothing (hysteresis). A replicated
-	// key whose estimate falls below ColdCount is demoted back to plain
-	// ownership at its home (0 = 8).
-	ColdCount int64
-	// DominanceShare splits hot keys into locality-skewed and hot-everywhere:
-	// if one node holds at least this share of a hot key's accesses the key
-	// is relocated to that node, otherwise it is replicated (0 = 0.75).
-	DominanceShare float64
-	// InterestShare is the fraction of a node's total reported volume a key
-	// must take for that node to count as interested in it; a key with two
-	// or more interested nodes is replicated regardless of how skewed the
-	// absolute counts are. This keeps promotion working when the home node's
-	// in-memory access rate dwarfs the latency-capped rates of remote nodes
-	// (0 = 0.005).
-	InterestShare float64
-	// MinDwellTicks is the minimum number of controller epochs between two
-	// transitions of the same key (0 = 2).
-	MinDwellTicks uint32
-	// ColdStreakEpochs is how many consecutive controller epochs a
-	// replicated key must stay below ColdCount before it is demoted,
-	// shielding sparsely sampled keys from demote/re-promote churn on
-	// sampling noise (0 = 8).
-	ColdStreakEpochs uint32
-	// ReportTopK bounds each node's per-tick report to its K hottest keys
-	// (0 = 128).
-	ReportTopK int
 }
 
 // ServingConfig tunes the read-path serving tier (Config.Serving).
@@ -371,17 +332,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Replicate:        cfg.Replicate,
 		ReplicaSyncEvery: cfg.ReplicaSyncEvery,
 	}
-	if a := cfg.Adaptive; a != nil {
-		coreCfg.Adaptive = &adaptive.Config{
-			Tick:             a.Tick,
-			HotCount:         a.HotCount,
-			ColdCount:        a.ColdCount,
-			DominanceShare:   a.DominanceShare,
-			InterestShare:    a.InterestShare,
-			MinDwellTicks:    a.MinDwellTicks,
-			ColdStreakEpochs: a.ColdStreakEpochs,
-			ReportTopK:       a.ReportTopK,
-		}
+	if cfg.Adaptive {
+		coreCfg.Adaptive = &adaptive.Config{}
 	}
 	if s := cfg.Serving; s != nil {
 		coreCfg.Serving = &core.ServingConfig{TTL: s.TTL}

@@ -87,6 +87,79 @@ func TestReplicateFacade(t *testing.T) {
 	}
 }
 
+// TestAdaptiveFacade drives the adaptive controller through the public API: a
+// skewed workload — every worker hammers the same two hot keys and pushes to
+// one cold key of its own — must get keys promoted, and once the replicas
+// sync, every key's value must equal the analytic sum of the pushes made to
+// it, whatever the controller moved along the way.
+func TestAdaptiveFacade(t *testing.T) {
+	const (
+		keys    = 32
+		hotKeys = 2
+		iters   = 200 // per worker and Run; each hot key takes half of them
+	)
+	cl, err := lapse.NewCluster(lapse.Config{
+		Nodes: 2, WorkersPerNode: 2, Keys: keys, ValueLength: 1,
+		Adaptive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	one := []float32{1}
+	runs := 0
+	deadline := time.Now().Add(15 * time.Second)
+	for cl.Stats().AdaptPromotions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("skewed workload promoted no key: stats %+v", cl.Stats())
+		}
+		err := cl.Run(func(w *lapse.Worker) error {
+			buf := make([]float32, 1)
+			cold := []lapse.Key{lapse.Key(hotKeys + w.ID())}
+			for i := 0; i < iters; i++ {
+				hot := []lapse.Key{lapse.Key(i % hotKeys)}
+				if err := w.Pull(hot, buf); err != nil {
+					return err
+				}
+				if err := w.Push(hot, one); err != nil {
+					return err
+				}
+				if err := w.Push(cold, one); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs++
+	}
+
+	want := make([]float32, keys)
+	for k := 0; k < hotKeys; k++ {
+		want[k] = float32(runs * cl.Workers() * iters / hotKeys)
+	}
+	for w := 0; w < cl.Workers(); w++ {
+		want[hotKeys+w] = float32(runs * iters)
+	}
+	got := make([]float32, 1)
+	for k := range want {
+		for {
+			cl.SyncReplicas()
+			cl.Read(lapse.Key(k), got)
+			if got[0] == want[k] {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("key %d = %v after %d runs, want %v", k, got[0], runs, want[k])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func TestReplicateRejectsOutOfRangeKey(t *testing.T) {
 	_, err := lapse.NewCluster(lapse.Config{
 		Nodes: 1, WorkersPerNode: 1, Keys: 4, ValueLength: 1,

@@ -13,8 +13,7 @@ import (
 // key's home node, a reader node holding a cached lease must observe the new
 // value well within the test deadline — far inside the 30s lease TTL, so the
 // freshness can only come from the revocation protocol (the LeaseRevoke
-// message, or its invalidation piggybacked on replica traffic), never from
-// expiry. The writer additionally asserts read-your-writes on its own node.
+// message), never from expiry. The writer additionally asserts read-your-writes on its own node.
 // Runs under -race in CI for all three transports.
 func TestServingLeaseInvalidationAcrossTransports(t *testing.T) {
 	serving := &lapse.ServingConfig{TTL: 30 * time.Second}
