@@ -243,8 +243,8 @@ type multiGetter interface {
 }
 
 // runServingReads verifies the converged prefix of the key space through the
-// serving tier. Repeated MultiGets of the same keys keep hitting the lease
-// cache, which is what the CI serving smoke job scrapes for.
+// serving tier. Repeated MultiGets of the same keys keep hitting their
+// leases, which is what the CI serving smoke job scrapes for.
 func runServingReads(cl *cluster.Cluster, h kv.KV, nKeys, valLen, iters int) error {
 	mg, ok := h.(multiGetter)
 	if !ok {
@@ -255,7 +255,7 @@ func runServingReads(cl *cluster.Cluster, h kv.KV, nKeys, valLen, iters int) err
 		hot = 8
 	}
 	// Stride the hot set across the whole key space: a contiguous prefix
-	// would be local to one node, whose reads bypass the lease cache — every
+	// would be local to one node, whose reads bypass the leases — every
 	// node must take some cross-node leases for its hit counters to move.
 	keys := make([]kv.Key, hot)
 	for i := range keys {

@@ -128,8 +128,8 @@ func (nd *node) reportTick(cfg adaptive.Config, epoch uint32) {
 	}
 }
 
-// handleManage dispatches one adaptive-management message on the shard
-// goroutine owning its keys.
+// handleManage dispatches one adaptive-management or lease-revoke message on
+// the shard goroutine owning its keys.
 func (sh *policyShard) handleManage(m *msg.Manage) {
 	switch m.Kind {
 	case msg.ManageReport:
@@ -158,6 +158,15 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 	case msg.ManageLocalize:
 		for _, k := range m.Keys {
 			sh.localizeHere(k)
+		}
+	case msg.ManageRevoke:
+		if sh.nd.leases == nil {
+			return // serving disabled here; nothing was leased
+		}
+		for _, k := range m.Keys {
+			if sh.nd.rep.DropLease(k) {
+				sh.stats.LeaseInvalidations.Inc()
+			}
 		}
 	default:
 		panic(fmt.Sprintf("core: unknown manage kind %v at node %d", m.Kind, sh.rt.Node()))

@@ -110,7 +110,8 @@ type Config struct {
 	// node of a multi-process deployment.
 	Adaptive *adaptive.Config
 	// Serving enables the read-path serving tier: MultiGet misses install
-	// TTL-leased values in a node-local serving cache, owners track and
+	// TTL-leased read-only entries in the node's copy table (the replication
+	// manager, built for this even without replication), owners track and
 	// revoke leases on writes/relocations/promotions, and subsequent
 	// MultiGets of leased keys are shared-memory reads with zero
 	// pending-table registration (see serving.go and DESIGN.md "Serving
@@ -148,8 +149,9 @@ type node struct {
 	cache []atomic.Int32
 	// sh[s] is the policy of server shard s.
 	sh []*policyShard
-	// rep manages this node's replicated hot keys (nil when replication is
-	// not configured). Its wire messages are pinned to shard 0.
+	// rep is this node's copy table: replicas of replicated hot keys and
+	// serving-tier leases (nil when neither replication nor serving is
+	// configured). Its sync messages are pinned to shard 0.
 	rep *replication.Manager
 	// tracker samples this node's key accesses for hot-key candidates.
 	// Per-node (like stats), so worker fast paths never contend on a
@@ -159,13 +161,11 @@ type node struct {
 	// goroutine (nil when adaptive management is off).
 	ctlStop chan struct{}
 	ctlDone chan struct{}
-	// serving is the node's client-side lease cache, leases the owner-side
-	// lease registry, and leased[k] a lock-free flag the worker write fast
-	// path checks before touching the registry. All nil/empty when the
+	// leases is the owner-side lease registry and leased[k] a lock-free flag
+	// the owner write path checks before touching it. Both nil when the
 	// serving tier is disabled.
-	serving *servingCache
-	leases  *leaseReg
-	leased  []atomic.Uint32
+	leases *leaseReg
+	leased []atomic.Uint32
 }
 
 // policyShard is one server shard's policy state: the relocation queues of
@@ -272,11 +272,10 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			}
 		}
 		if cfg.Serving != nil {
-			nd.serving = newServingCache()
 			nd.leases = newLeaseReg(cfg.Serving)
 			nd.leased = make([]atomic.Uint32, nk)
 		}
-		if len(cfg.Replicate) > 0 || cfg.Adaptive != nil {
+		if cfg.replicates() || cfg.Serving != nil {
 			nd.rep = replication.NewManager(replication.Config{
 				Node:      n,
 				Nodes:     cl.Nodes(),
@@ -349,7 +348,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		return s.nodes[n].sh[shard]
 	})
 	for _, nd := range s.nodes {
-		if nd != nil && nd.rep != nil {
+		if nd != nil && cfg.replicates() {
 			nd.rep.Start()
 		}
 	}
@@ -362,6 +361,11 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 	}
 	return s
 }
+
+// replicates reports whether the configuration manages any key by
+// replication (statically or through the adaptive controller). Only then
+// does the copy table run its sync ticker: a serving-only one holds leases.
+func (c *Config) replicates() bool { return len(c.Replicate) > 0 || c.Adaptive != nil }
 
 // shardOf returns the policy shard owning key k at this node.
 func (nd *node) shardOf(k kv.Key) *policyShard {
@@ -516,7 +520,7 @@ func (s *System) Shutdown() {
 		}
 	}
 	for _, nd := range s.nodes {
-		if nd != nil && nd.rep != nil {
+		if nd != nil && s.cfg.replicates() {
 			nd.rep.Stop()
 		}
 	}
@@ -566,22 +570,23 @@ func (s *System) Handle(worker int) kv.KV {
 }
 
 // OnOpResp implements server.Policy: refresh the location cache with the
-// responder's identity, and install leased values in the serving cache, both
+// responder's identity, and install granted leases in the copy table, both
 // before the runtime completes the pending operation — a worker unblocked by
 // the completion must already see the lease installed, or its own later
-// write-through invalidation could be overtaken by this install. The
-// response's keys all belong to this shard.
+// write-through drop could be overtaken by this install. The response's keys
+// all belong to this shard.
 func (sh *policyShard) OnOpResp(m *msg.OpResp) {
 	if sh.nd.cache != nil {
 		for _, k := range m.Keys {
 			sh.nd.cache[k].Store(m.Responder)
 		}
 	}
-	if sh.nd.serving != nil && m.LeaseTTL > 0 && m.Type == msg.OpPull {
+	if sh.nd.leases != nil && m.LeaseTTL > 0 && m.Type == msg.OpPull {
+		ttl := time.Duration(m.LeaseTTL) * time.Microsecond
 		src := 0
 		for _, k := range m.Keys {
 			l := sh.nd.sys.layout.Len(k)
-			sh.nd.serving.install(k, m.Vals[src:src+l], m.LeaseTTL)
+			sh.nd.rep.InstallLease(k, m.Vals[src:src+l], ttl)
 			src += l
 		}
 	}
@@ -604,8 +609,6 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 		sh.nd.rep.HandleSync(t)
 	case *msg.ReplicaRefresh:
 		sh.nd.rep.HandleRefresh(t)
-	case *msg.LeaseRevoke:
-		sh.nd.servingInvalidate(t.Keys, &sh.stats.LeaseInvalidations)
 	case *msg.Manage:
 		// Key-addressed like operations, so transitions stay FIFO with the
 		// accesses of the keys they manage on each (link, shard) stream.
@@ -685,18 +688,9 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 				}
 				ansVals = ansVals[:n] // lost the race against a transfer-out
 			case msg.OpPush:
-				if nd.store.Add(k, upd) {
+				// Revokes leave before the ack (see writeOwned).
+				if nd.writeOwned(k, upd) {
 					ansKeys = append(ansKeys, k)
-					if nd.leased != nil && nd.leased[k].Load() != 0 {
-						// Another node wrote a leased key: revoke before the
-						// ack leaves, so the revoke chases the last grant on
-						// each holder's FIFO (link, shard) stream. The writer
-						// itself is NOT skipped — a grant carrying the
-						// pre-write value may still be in flight to it, and
-						// only a revoke ahead of this push's ack keeps the
-						// writer's read-your-writes intact.
-						nd.revokeLeases(k)
-					}
 					continue
 				}
 			}
@@ -818,13 +812,8 @@ func (sh *policyShard) requeueRacedOp(m *msg.Op, k kv.Key) {
 		}
 		sh.rt.SendOrDispatch(int(m.Origin), resp)
 	case msg.OpPush:
-		if !nd.store.Add(k, m.Vals) {
+		if !nd.writeOwned(k, m.Vals) {
 			panic(fmt.Sprintf("core: key %d claimed by owner table at node %d but absent", k, sh.rt.Node()))
-		}
-		if nd.leased != nil && nd.leased[k].Load() != 0 {
-			// As in handleOp: the writer is not skipped, so the revoke chases
-			// any grant still in flight to it ahead of this push's ack.
-			nd.revokeLeases(k)
 		}
 		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k}}
 		sh.rt.SendOrDispatch(int(m.Origin), resp)

@@ -62,23 +62,23 @@ func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
 
 // RouteKey implements server.Router: serve each key through the fastest
 // admissible path — the node-local replica for replicated hot keys,
-// shared-memory access for owned keys, the leased serving cache for
+// shared-memory access for owned keys, a live lease in the copy table for
 // read-only pulls, the relocation queue for keys currently arriving at this
 // node, and the network (home-routed, or cache-direct when location caches
-// are on) for everything else. Pushes write-through-invalidate the node's
-// serving-cache entry first, preserving read-your-writes for the node's own
-// workers whatever path the update takes.
+// are on) for everything else. Pushes write-through-drop the node's lease on
+// the key first, preserving read-your-writes for the node's own workers
+// whatever path the update takes.
 func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
 	h.trk.Observe(k)
 	sh := h.nd.shardOf(k)
-	if t == msg.OpPush && h.nd.serving != nil && h.nd.serving.invalidate(k) {
+	if t == msg.OpPush && h.nd.leases != nil && h.nd.rep.DropLease(k) {
 		sh.stats.LeaseInvalidations.Inc()
 	}
 	if h.tryFast(sh, t, k, dst, vals) {
 		return server.KeyRoute{Served: true}
 	}
-	if t == msg.OpPull && op.Lease() && h.nd.serving != nil {
-		if h.nd.serving.get(k, dst) {
+	if t == msg.OpPull && op.Lease() && h.nd.leases != nil {
+		if h.nd.rep.Lease(k, dst) {
 			sh.stats.ServingHits.Inc()
 			sh.stats.ReadValues.Add(int64(len(dst)))
 			return server.KeyRoute{Served: true}
@@ -131,17 +131,8 @@ func (h *handle) tryFast(sh *policyShard, t msg.OpType, k kv.Key, dst, vals []fl
 			sh.stats.ReadValues.Add(int64(len(dst)))
 			return true
 		default:
-			if !h.nd.store.Add(k, vals) {
+			if !h.nd.writeOwned(k, vals) {
 				return false
-			}
-			if h.nd.leased != nil && h.nd.leased[k].Load() != 0 {
-				// This owner's own worker wrote a leased key; withdraw the
-				// remote leases (the flag check keeps the unleased fast path
-				// free of the registry lock). A grant racing this write on a
-				// shard goroutine can slip past the flag check — that one
-				// holder's staleness is bounded by the TTL (see serving.go,
-				// "Correctness").
-				h.nd.revokeLeases(k)
 			}
 			sh.stats.LocalWrites.Inc()
 			return true
@@ -176,9 +167,9 @@ func (h *handle) slowRoute(sh *policyShard, t msg.OpType, op *server.OpCtx, k kv
 }
 
 // MultiGet issues a batched read-only pull through the serving tier: keys
-// are served — in this order — from the local replica or owned store, from
-// the node's leased serving cache, or over the network with a lease request
-// attached, so the next MultiGet of the same keys hits the cache. Keys
+// are served — in this order — from the local replica or owned store, from a
+// live lease in the node's copy table, or over the network with a lease
+// request attached, so the next MultiGet of the same keys hits the lease. Keys
 // served entirely without the network complete with zero pending-table
 // registration and zero allocation (the kv.CompletedFuture fast path of
 // DispatchOp). With the serving tier disabled (Config.Serving nil) MultiGet

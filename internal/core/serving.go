@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lapse/internal/kv"
-	"lapse/internal/metrics"
 	"lapse/internal/msg"
 )
 
@@ -15,38 +14,37 @@ import (
 // A read-mostly serving workload pulls the same hot keys over and over from
 // every node. The relocation protocol cannot make such keys local everywhere
 // at once, and replication pays a continuous sync cycle even for keys that
-// are almost never written. The serving tier adds a third, read-only path:
-// when a MultiGet misses every local fast path, the remote pull asks the
-// key's owner for a *lease* (Op.Lease); the owner answers with the value and
-// a TTL (OpResp.LeaseTTL), and the origin installs the value in a node-local
-// serving cache. Until the lease expires or is revoked, MultiGets of the key
-// are shared-memory reads with zero pending-table registration.
+// are almost never written. The serving tier adds a read-only path: when a
+// MultiGet misses every local fast path, the remote pull asks the key's owner
+// for a *lease* (Op.Lease); the owner answers with the value and a TTL
+// (OpResp.LeaseTTL), and the origin installs the value as a leased entry of
+// its copy table (replication.Manager, which also holds its replicas). Until
+// the lease expires or is revoked, MultiGets of the key are shared-memory
+// reads with zero pending-table registration.
 //
 // Correctness:
 //
-//   - Read-your-writes: every Push write-through-invalidates the pusher's own
-//     cache entry before the update is routed (handle.RouteKey), and the
+//   - Read-your-writes: every Push write-through-drops the pusher's own lease
+//     on the key before the update is routed (handle.RouteKey), and the
 //     owner's revocation pass notifies every live holder *including the
 //     writer's node* — a grant can still be in flight to the writer (its own
 //     leased pull processed by the owner just before the push), and only a
 //     chasing revoke, delivered on the same (link, shard) FIFO stream before
 //     the push ack, stops that grant from re-installing the pre-write value.
-//     So a node never reads its own stale write from its cache (synchronous
+//     So a node never reads its own stale write from a lease (synchronous
 //     operations; asynchronous pipelining keeps the same caveats it has
-//     without the cache).
+//     without leases).
 //   - Cross-node invalidation: the owner tracks lease holders per key and
 //     revokes on writes, on relocation (transfer-out), and on promotion into
-//     replication. All three travel as key-addressed LeaseRevoke messages —
-//     FIFO, per (link, shard), with the grant they chase; a promotion's
-//     revokes go out ahead of its ManageReplicate broadcast on the same
-//     streams, so a holder drops its lease before it installs the replica.
-//     One grant-side race is
-//     deliberately tolerated: a shard goroutine serving a remote leased pull
-//     can read the pre-write value and register the lease after a concurrent
-//     owner-local write saw leased[k]==0 and skipped revocation, so that one
-//     remote holder keeps the pre-write value until its lease expires.
-//     Revoke-on-write is therefore best-effort against owner-local writes;
-//     the staleness stays inside the TTL bound below.
+//     replication. All three travel as key-addressed Manage messages of kind
+//     ManageRevoke — FIFO, per (link, shard), with the grant they chase; a
+//     promotion's revokes go out ahead of its ManageReplicate broadcast on
+//     the same streams, so a holder drops its lease before it installs the
+//     replica (and a replica entered over a lease would replace it in place
+//     anyway: both live in the one copy table). One grant-side race is
+//     deliberately tolerated (see writeOwned), so revoke-on-write is
+//     best-effort against owner-local writes; the staleness stays inside the
+//     TTL bound below.
 //   - Staleness bound: a served read lags a write by at most the lease TTL
 //     (plus one message latency for in-flight reads) — whether the revoke was
 //     lost with its message or never sent (the grant race above) — matching
@@ -76,87 +74,6 @@ func (c *ServingConfig) ttlMicros() uint32 {
 		ttl = maxLeaseTTL
 	}
 	return uint32(ttl / time.Microsecond)
-}
-
-// servingStripes is the lock striping of the serving cache. Power of two;
-// spreads concurrent workers of one node across locks.
-const servingStripes = 64
-
-// cacheEntry is one leased value in the serving cache.
-type cacheEntry struct {
-	expiry int64 // UnixNano deadline
-	vals   []float32
-}
-
-// servingCache is a node's client-side serving cache: leased values of
-// remote hot keys, readable by every worker of the node. Reads, installs,
-// and invalidations synchronize per stripe; the hit path (get) does one lock
-// round trip, one map lookup, and one copy — no allocation.
-type servingCache struct {
-	stripes [servingStripes]struct {
-		mu      sync.Mutex
-		entries map[kv.Key]*cacheEntry
-	}
-}
-
-func newServingCache() *servingCache {
-	c := &servingCache{}
-	for i := range c.stripes {
-		c.stripes[i].entries = make(map[kv.Key]*cacheEntry)
-	}
-	return c
-}
-
-// get copies the cached value of k into dst if a live lease covers it.
-// Expired entries are dropped on the way.
-func (c *servingCache) get(k kv.Key, dst []float32) bool {
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
-	st.mu.Lock()
-	e, ok := st.entries[k]
-	if !ok {
-		st.mu.Unlock()
-		return false
-	}
-	if e.expiry < time.Now().UnixNano() {
-		delete(st.entries, k)
-		st.mu.Unlock()
-		return false
-	}
-	copy(dst, e.vals)
-	st.mu.Unlock()
-	return true
-}
-
-// install stores (or refreshes) the lease entry of k with value v, valid for
-// ttlMicros microseconds from now. v is copied: it aliases a decode scratch
-// at the call site.
-func (c *servingCache) install(k kv.Key, v []float32, ttlMicros uint32) {
-	expiry := time.Now().UnixNano() + int64(ttlMicros)*1000
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
-	st.mu.Lock()
-	e, ok := st.entries[k]
-	if !ok {
-		e = &cacheEntry{vals: make([]float32, len(v))}
-		st.entries[k] = e
-	} else if cap(e.vals) < len(v) {
-		e.vals = make([]float32, len(v))
-	}
-	e.vals = e.vals[:len(v)]
-	copy(e.vals, v)
-	e.expiry = expiry
-	st.mu.Unlock()
-}
-
-// invalidate drops the lease entry of k, reporting whether one existed.
-func (c *servingCache) invalidate(k kv.Key) bool {
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
-	st.mu.Lock()
-	_, ok := st.entries[k]
-	if ok {
-		delete(st.entries, k)
-	}
-	st.mu.Unlock()
-	return ok
 }
 
 // leaseHold records the outstanding leases of one key at its owner: a bitmask
@@ -211,14 +128,10 @@ func (nd *node) grantLeases(keys []kv.Key, origin int) uint32 {
 }
 
 // revokeLeases withdraws every outstanding lease on k: the registry entry and
-// the fast-path flag are cleared, and each live holder is sent a LeaseRevoke
+// the fast-path flag are cleared, and each live holder is sent a ManageRevoke
 // (key-addressed, so it stays FIFO with the grant response it chases on the
-// holder's (link, shard) stream). The holder set includes the node whose
-// write triggered the revocation: its write-through invalidation only covers
-// the entry already installed, while a grant from this owner may still be in
-// flight to it — carrying the pre-write value — and only a chasing revoke,
-// which lands before the push ack, preserves that node's read-your-writes.
-// Safe from shard goroutines and worker threads.
+// holder's (link, shard) stream). Safe from shard goroutines and worker
+// threads.
 func (nd *node) revokeLeases(k kv.Key) {
 	reg := nd.leases
 	reg.mu.Lock()
@@ -245,19 +158,30 @@ func (nd *node) revokeLeases(k kv.Key) {
 			continue // self-grants are never recorded; defensive
 		}
 		stats.LeaseRevokes.Inc()
-		nd.srv.Send(dest, &msg.LeaseRevoke{Origin: int32(nd.id), Keys: []kv.Key{k}})
+		nd.srv.Send(dest, &msg.Manage{Kind: msg.ManageRevoke, Origin: int32(nd.id), Keys: []kv.Key{k}})
 	}
 }
 
-// servingInvalidate drops the local cache entries of keys after a LeaseRevoke
-// arrived.
-func (nd *node) servingInvalidate(keys []kv.Key, c *metrics.Counter) {
-	if nd.serving == nil {
-		return
+// writeOwned applies a cumulative update to a key owned here (a worker's
+// fast-path push, or a remote push on a shard goroutine) and withdraws the
+// key's leases; the flag check keeps the unleased path off the registry
+// lock. It reports false, applying nothing, when the key is not in the store.
+//
+// A remote writer's node is not skipped: its write-through drop covers only
+// the lease already installed there, while a grant carrying the pre-write
+// value may still be in flight to it, and only a revoke sent now — chasing
+// that grant ahead of the push ack — keeps the writer's read-your-writes.
+//
+// One race is tolerated: a shard goroutine serving a remote leased pull can
+// read the pre-write value and register the lease after a concurrent
+// owner-local write saw leased[k]==0 and skipped revocation; that holder
+// keeps the pre-write value until its lease expires, inside the TTL bound.
+func (nd *node) writeOwned(k kv.Key, vals []float32) bool {
+	if !nd.store.Add(k, vals) {
+		return false
 	}
-	for _, k := range keys {
-		if nd.serving.invalidate(k) {
-			c.Inc()
-		}
+	if nd.leased != nil && nd.leased[k].Load() != 0 {
+		nd.revokeLeases(k)
 	}
+	return true
 }

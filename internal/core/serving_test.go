@@ -148,7 +148,7 @@ func TestOwnerPushRevokesRemoteLease(t *testing.T) {
 // TestPushByLeaseHolderChasesItsOwnGrant pins that the owner does NOT skip
 // the writing node when revoking: after node 0 — the only lease holder —
 // pushes the key it holds a lease on, the owner must still send exactly one
-// LeaseRevoke (to node 0). Write-through invalidation alone cannot cover a
+// ManageRevoke (to node 0). Write-through invalidation alone cannot cover a
 // grant that is still in flight to the writer when the push arrives; only a
 // revoke chasing that grant on the same FIFO stream, ahead of the push ack,
 // keeps the writer's read-your-writes intact. Skipping the writer here would
@@ -182,7 +182,7 @@ func TestPushByLeaseHolderChasesItsOwnGrant(t *testing.T) {
 // a MultiGet of a key that relocated away from its home is routed via the
 // home node and forwarded to the current owner, and the owner must still
 // grant the lease — the next MultiGet of the key is a cache hit. Dropping
-// the bit on the forward would silently disable the serving cache for every
+// the bit on the forward would silently disable leases for every
 // relocated key.
 func TestForwardedLeasePullStillGranted(t *testing.T) {
 	_, sys := newTestSystem(t, 3, 1, 9, 1, servingTestConfig())
@@ -222,7 +222,7 @@ func TestForwardedLeasePullStillGranted(t *testing.T) {
 
 // TestPromotionRevokesRemoteLease pins the lease-revocation path of a key
 // promoted into replication while a remote node holds a serving lease on it.
-// With several shards per node, only a key-addressed LeaseRevoke sent ahead
+// With several shards per node, only a key-addressed ManageRevoke sent ahead
 // of the ManageReplicate broadcast stays FIFO with a grant still in flight on
 // the key's own shard. The holder must drop its lease, then serve the key
 // from its replica, and observe the owner's later write — far inside the 30s

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,13 +61,28 @@ func TestMFLowLevelFasterThanLapse(t *testing.T) {
 	}
 	cfg, m := smallMF()
 	par := Parallelism{Nodes: 2, Workers: 2}
-	lapse := RunMFCell(driver.Lapse, par, cfg, m)
-	low := RunMFLowLevelCell(par, cfg, m)
+	// Both cells are dominated by the same per-point cost and land about
+	// 10% apart, so one run of each flips on host noise. Interleaved runs
+	// compared by median see the same drift on both sides.
+	const runs = 5
+	var lapseRuns, lowRuns []time.Duration
+	for i := 0; i < runs; i++ {
+		lapseRuns = append(lapseRuns, RunMFCell(driver.Lapse, par, cfg, m).EpochTime)
+		lowRuns = append(lowRuns, RunMFLowLevelCell(par, cfg, m).EpochTime)
+	}
+	lapse, low := medianDuration(lapseRuns), medianDuration(lowRuns)
 	// The specialized implementation must not be slower; the paper
 	// reports Lapse within 2.0–2.6× of it.
-	if low.EpochTime > lapse.EpochTime {
-		t.Fatalf("low-level (%v) slower than Lapse (%v)", low.EpochTime, lapse.EpochTime)
+	if low > lapse {
+		t.Fatalf("low-level (median %v of %v) slower than Lapse (median %v of %v)", low, lowRuns, lapse, lapseRuns)
 	}
+}
+
+// medianDuration returns the median of ds (upper median for even lengths).
+func medianDuration(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 func TestKGELapseMostReadsLocal(t *testing.T) {

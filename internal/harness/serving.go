@@ -21,7 +21,7 @@ import (
 // of silently stretching the measurement window (the coordinated-omission
 // trap of closed-loop latency loops). Two read paths are compared at the same
 // arrival schedule: plain batched Pull, and MultiGet through the lease-based
-// serving cache.
+// serving tier.
 
 // ServingMode selects the read path of the serving workload.
 type ServingMode string
@@ -30,8 +30,8 @@ const (
 	// ServingPull issues each request as a plain batched Pull (serving
 	// tier disabled) — the baseline every read pays the key's location for.
 	ServingPull ServingMode = "pull"
-	// ServingMultiGet issues each request as a MultiGet against the
-	// lease-based serving cache (core.ServingConfig enabled).
+	// ServingMultiGet issues each request as a MultiGet through the
+	// lease-based serving tier (core.ServingConfig enabled).
 	ServingMultiGet ServingMode = "multiget"
 )
 
@@ -66,14 +66,14 @@ type ServingLoad struct {
 	// PushEvery issues an asynchronous single-key push after every Nth read
 	// request (0 = read-only), exercising the write-invalidate path.
 	PushEvery int
-	// TTL is the serving-cache lease TTL (0 = core.DefaultLeaseTTL);
+	// TTL is the serving-tier lease TTL (0 = core.DefaultLeaseTTL);
 	// ServingMultiGet only.
 	TTL time.Duration
 	// Seed seeds the per-worker RNGs.
 	Seed int64
 	// Warmup drives the key distribution closed-loop (unpaced) for this
 	// long before the measured window, settling location caches and
-	// pre-populating the serving cache.
+	// taking the first leases.
 	Warmup time.Duration
 	// Net is the simulated network profile (zero = instantaneous). The
 	// serving comparison needs real latency: with an instantaneous network
@@ -123,7 +123,7 @@ func RunServingNode(par Parallelism, cl *cluster.Cluster, ps driver.PS, cfg Serv
 	return measure(par, cl, ps, string(mode), int64(par.Nodes*par.Workers*cfg.Requests),
 		func(worker int) {
 			// Closed-loop (unpaced) warmup settles relocation and location
-			// caches and pre-populates the serving cache.
+			// caches and takes the first leases.
 			if cfg.Warmup > 0 {
 				l := newServingLoop(ps, cfg, mode, worker, cfg.Seed+warmupSeedOffset+int64(worker))
 				warmUp(cfg.Warmup, 16, l.step, l.finish)

@@ -134,13 +134,13 @@ type ServerStats struct {
 	AdaptDemotions   Counter
 	AdaptRelocations Counter
 	// ServingHits and ServingMisses count read-only pulls served from (or
-	// missing) the node's lease-based serving cache.
+	// missing) the node's live serving-tier leases.
 	ServingHits   Counter
 	ServingMisses Counter
-	// LeaseGrants counts serving-cache leases this node granted as a home;
+	// LeaseGrants counts serving-tier leases this node granted as an owner;
 	// LeaseRevokes counts revocations it sent (writes, relocations, and
-	// promotions of leased keys); LeaseInvalidations counts cache entries
-	// this node dropped (revocations received plus write-through drops).
+	// promotions of leased keys); LeaseInvalidations counts leases this node
+	// dropped (revocations received plus write-through drops).
 	LeaseGrants        Counter
 	LeaseRevokes       Counter
 	LeaseInvalidations Counter

@@ -41,8 +41,8 @@ func seedMessages() []any {
 		&Manage{Kind: ManageUnreplicate, Origin: 0, Keys: nil, Vals: nil, Seqs: nil},
 		&Manage{Kind: ManageLocalize, Origin: 3, Keys: []kv.Key{12}},
 		&Manage{Kind: ManageSweep, Origin: 1, Epoch: 9, Keys: []kv.Key{2}},
-		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5, 1 << 41}},
-		&LeaseRevoke{Origin: 0, Keys: nil},
+		&Manage{Kind: ManageRevoke, Origin: 2, Keys: []kv.Key{5, 1 << 41}},
+		&Manage{Kind: ManageRevoke, Origin: 0, Keys: nil},
 	}
 }
 

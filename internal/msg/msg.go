@@ -25,6 +25,7 @@ package msg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -52,7 +53,6 @@ const (
 	KindReplicaSync
 	KindReplicaRefresh
 	KindManage
-	KindLeaseRevoke
 )
 
 func (k Kind) String() string {
@@ -81,8 +81,6 @@ func (k Kind) String() string {
 		return "ReplicaRefresh"
 	case KindManage:
 		return "Manage"
-	case KindLeaseRevoke:
-		return "LeaseRevoke"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -116,7 +114,7 @@ type Op struct {
 	Origin   int32
 	Hops     uint8
 	ViaCache bool
-	// Lease marks a read-only pull whose origin wants a serving-cache lease
+	// Lease marks a read-only pull whose origin wants a serving-tier lease
 	// on the requested keys: the home grants one (OpResp.LeaseTTL) when the
 	// keys are owned and not replicated. Ignored for pushes.
 	Lease bool
@@ -127,9 +125,9 @@ type Op struct {
 // OpResp answers an Op. For pulls, Vals carries the requested values in Keys
 // order. Responder is the node that held the keys; origins use it to update
 // their location caches. LeaseTTL is nonzero when the responder granted a
-// serving-cache lease on the response's keys: the origin may serve reads of
-// those keys from its local cache for LeaseTTL microseconds (or until the
-// home revokes the lease, whichever comes first).
+// serving-tier lease on the response's keys: the origin may serve reads of
+// those keys from its local copy for LeaseTTL microseconds (or until the
+// owner revokes the lease with a ManageRevoke, whichever comes first).
 type OpResp struct {
 	Type      OpType
 	ID        uint64
@@ -256,6 +254,13 @@ const (
 	// get demoted. Keys carries a single shard-selector key (see the adaptive
 	// controller); Epoch is the controller tick.
 	ManageSweep
+	// ManageRevoke tells a lease holder to drop its leases on Keys at once:
+	// the owner saw a write to, a relocation of, or a promotion of a key the
+	// holder had leased, so the leased values may be stale. Like every
+	// Manage it is key-addressed, so a revoke stays FIFO, per (link, shard),
+	// with the OpResp grant it chases: a stale grant can never be installed
+	// after its revocation was processed. Senders emit one message per key.
+	ManageRevoke
 )
 
 func (k ManageKind) String() string {
@@ -272,17 +277,19 @@ func (k ManageKind) String() string {
 		return "localize-hint"
 	case ManageSweep:
 		return "sweep"
+	case ManageRevoke:
+		return "revoke"
 	default:
 		return fmt.Sprintf("ManageKind(%d)", uint8(k))
 	}
 }
 
-// Manage is the adaptive-management control message: tracker reports flowing
-// to home nodes and the per-key replication enter/exit protocol driven by the
-// online controller. All operations are key-addressed — every key in one
-// message belongs to the same server shard — so transitions stay FIFO with
-// the operations of the keys they manage on each (link, shard) stream. Origin
-// is the sending node. Epoch is the controller tick of a report (unused
+// Manage is the per-key control message: tracker reports flowing to home
+// nodes, the per-key replication enter/exit protocol driven by the online
+// controller, and serving-tier lease revocations. All operations are
+// key-addressed — every key in one message belongs to the same server shard —
+// so transitions stay FIFO with the operations of the keys they manage on
+// each (link, shard) stream. Origin is the sending node. Epoch is the controller tick of a report (unused
 // otherwise); Seqs is used only by demote acknowledgements.
 type Manage struct {
 	Kind   ManageKind
@@ -291,18 +298,6 @@ type Manage struct {
 	Keys   []kv.Key
 	Vals   []float32
 	Seqs   []uint32
-}
-
-// LeaseRevoke tells a lease holder to drop its serving-cache entries for
-// Keys immediately: another node pushed to (or relocated) a key the holder
-// had leased, so the cached values may be stale. Origin is the revoking home
-// node. LeaseRevoke is key-addressed (routed by first key): a revocation
-// must stay FIFO, per (link, shard), with the OpResp grant it chases, so a
-// stale grant can never be installed after its revocation was processed.
-// Senders emit one message per key to keep revocations shard-pure.
-type LeaseRevoke struct {
-	Origin int32
-	Keys   []kv.Key
 }
 
 const (
@@ -340,8 +335,6 @@ func Size(m any) int {
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
 		return headerBytes + 1 + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Seqs)*seqBytes
-	case *LeaseRevoke:
-		return headerBytes + 4 + 4 + len(t.Keys)*keyBytes
 	default:
 		panic(fmt.Sprintf("msg: Size on unknown message type %T", m))
 	}
@@ -431,10 +424,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 		w.seqs(t.Seqs)
-	case *LeaseRevoke:
-		w.header(KindLeaseRevoke, sz)
-		w.u32(uint32(t.Origin))
-		w.keys(t.Keys)
 	default:
 		panic(fmt.Sprintf("msg: AppendTo on unknown message type %T", m))
 	}
@@ -499,6 +488,12 @@ func (w *writer) seqs(seqs []uint32) {
 	w.off += len(seqs) * seqBytes
 }
 
+// Errors Decode wraps when a message names an enum value no handler knows.
+var (
+	ErrUnknownOpType     = errors.New("msg: unknown op type")
+	ErrUnknownManageKind = errors.New("msg: unknown manage kind")
+)
+
 // Decode parses one encoded message and returns it together with the number
 // of bytes consumed. Every field read is bounds-checked and the payload must
 // be consumed exactly, so Decode never panics and malformed input — from a
@@ -529,7 +524,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(Op)
 		}
-		*t = Op{Type: OpType(d.u8()), ID: d.u64(), Origin: int32(d.u32()),
+		*t = Op{Type: OpType(d.enum(byte(OpPush), ErrUnknownOpType)), ID: d.u64(), Origin: int32(d.u32()),
 			Hops: d.u8(), ViaCache: d.bool(), Lease: d.bool(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindOpResp:
@@ -539,7 +534,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(OpResp)
 		}
-		*t = OpResp{Type: OpType(d.u8()), ID: d.u64(), Responder: int32(d.u32()),
+		*t = OpResp{Type: OpType(d.enum(byte(OpPush), ErrUnknownOpType)), ID: d.u64(), Responder: int32(d.u32()),
 			LeaseTTL: d.u32(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindLocalize:
@@ -630,17 +625,8 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(Manage)
 		}
-		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Epoch: d.u32(),
+		*t = Manage{Kind: ManageKind(d.enum(byte(ManageRevoke), ErrUnknownManageKind)), Origin: int32(d.u32()), Epoch: d.u32(),
 			Keys: d.keys(), Vals: d.vals(), Seqs: d.seqs()}
-		m = t
-	case KindLeaseRevoke:
-		var t *LeaseRevoke
-		if s != nil {
-			t = &s.leaseRevoke
-		} else {
-			t = new(LeaseRevoke)
-		}
-		*t = LeaseRevoke{Origin: int32(d.u32()), Keys: d.keys()}
 		m = t
 	default:
 		return nil, 0, fmt.Errorf("msg: unknown message kind %d", kind)
@@ -681,6 +667,18 @@ func (d *decoder) u8() byte {
 }
 
 func (d *decoder) bool() bool { return d.u8() != 0 }
+
+// enum reads a one-byte enum value, rejecting values above last: no handler
+// has a case for them (an unknown op would be dropped, its origin waiting
+// forever, or forwarded until the hop limit panics; an unknown Manage kind
+// would panic its handler).
+func (d *decoder) enum(last byte, unknown error) byte {
+	v := d.u8()
+	if v > last && d.err == nil {
+		d.err = fmt.Errorf("%w %d", unknown, v)
+	}
+	return v
+}
 
 func (d *decoder) u32() uint32 {
 	if d.err != nil || len(d.p) < 4 {

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Manage{Kind: ManageDemoteAck, Origin: 3, Epoch: 9, Keys: []kv.Key{5},
 			Vals: []float32{0.5, 0.5, 1, 1}, Seqs: []uint32{0, 9}},
 		&Manage{Kind: ManageDemoteAck, Origin: 1, Keys: []kv.Key{4}},
+		&Manage{Kind: ManageRevoke, Origin: 2, Keys: []kv.Key{6}},
 	}
 	for _, m := range msgs {
 		dec := roundTrip(t, m)
@@ -143,6 +145,40 @@ func TestDecodeErrors(t *testing.T) {
 	enc := AppendTo(nil, &Localize{ID: 1, Origin: 0, Keys: []kv.Key{1, 2}})
 	if _, _, err := Decode(enc[:len(enc)-3]); err == nil {
 		t.Error("Decode(truncated) succeeded")
+	}
+}
+
+// TestDecodeRejectsUnknownEnums pins the enum checks of the malformed-input
+// handling: an Op or OpResp whose type is neither pull nor push, and a Manage
+// past the last kind, decode to the named errors instead of reaching
+// handlers that have no case for them.
+func TestDecodeRejectsUnknownEnums(t *testing.T) {
+	cases := []struct {
+		m    any
+		want error
+	}{
+		{&Op{Type: OpPush + 1, Keys: []kv.Key{1}}, ErrUnknownOpType},
+		{&Op{Type: 0xFF}, ErrUnknownOpType},
+		{&OpResp{Type: OpPush + 1, Keys: []kv.Key{1}}, ErrUnknownOpType},
+		{&Manage{Kind: ManageRevoke + 1, Keys: []kv.Key{1}}, ErrUnknownManageKind},
+		{&Manage{Kind: 0xFF}, ErrUnknownManageKind},
+	}
+	for _, c := range cases {
+		enc := AppendTo(nil, c.m)
+		if _, _, err := Decode(enc); !errors.Is(err, c.want) {
+			t.Errorf("Decode(%#v) error = %v, want %v", c.m, err, c.want)
+		}
+		s := GetScratch()
+		if _, _, err := s.Decode(enc); !errors.Is(err, c.want) {
+			t.Errorf("Scratch.Decode(%#v) error = %v, want %v", c.m, err, c.want)
+		}
+		s.Release()
+	}
+	// The last valid values still decode.
+	for _, m := range []any{&Op{Type: OpPush}, &OpResp{Type: OpPush}, &Manage{Kind: ManageRevoke}} {
+		if _, _, err := Decode(AppendTo(nil, m)); err != nil {
+			t.Errorf("Decode(%#v): %v", m, err)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // need, because a key maps to exactly one shard.
 //
 // Key-addressed protocol messages (Op, OpResp, Localize, RelocInstruct,
-// RelocTransfer, Manage, LeaseRevoke) must be shard-pure: every key in one message belongs to the
-// same shard. Senders guarantee this by batching per (destination, shard);
+// RelocTransfer, Manage) must be shard-pure: every key in one message belongs
+// to the same shard. Senders guarantee this by batching per (destination, shard);
 // the simulated network additionally asserts it. Messages that either carry
 // no keys or whose handlers do not assume shard ownership route as follows:
 //
@@ -64,11 +64,9 @@ func ShardOf(m any, shards int) int {
 		return shardOfKeys(t.Keys, shards)
 	case *Manage:
 		// Adaptive-management transitions are key-addressed so they stay
-		// FIFO with the operations of the keys they manage.
-		return shardOfKeys(t.Keys, shards)
-	case *LeaseRevoke:
-		// Revocations are key-addressed so they stay FIFO with the OpResp
-		// lease grant they chase on the holder's (link, shard) stream.
+		// FIFO with the operations of the keys they manage, and lease
+		// revokes with the OpResp grant they chase on the holder's
+		// (link, shard) stream.
 		return shardOfKeys(t.Keys, shards)
 	default:
 		// SspClock, Barrier, Block, ReplicaSync, ReplicaRefresh, and any
@@ -106,8 +104,6 @@ func CheckShardPure(m any, shards int) error {
 	case *RelocTransfer:
 		keys = t.Keys
 	case *Manage:
-		keys = t.Keys
-	case *LeaseRevoke:
 		keys = t.Keys
 	default:
 		return nil

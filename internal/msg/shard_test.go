@@ -38,8 +38,8 @@ func TestShardOfDemuxRules(t *testing.T) {
 		{&SspSync{Keys: []kv.Key{3, 6}}, 3}, // by first key; need not be pure
 		{&Manage{Keys: []kv.Key{6}}, 2},
 		{&Manage{}, 0},
-		{&LeaseRevoke{Keys: []kv.Key{7}}, 3},
-		{&LeaseRevoke{}, 0},
+		{&Manage{Kind: ManageRevoke, Keys: []kv.Key{7}}, 3},
+		{&Manage{Kind: ManageRevoke}, 0},
 		// Zero-key and node-level messages pin to shard 0.
 		{&Op{}, 0},
 		{&SspClock{Worker: 1}, 0},
@@ -66,8 +66,8 @@ func TestCheckShardPure(t *testing.T) {
 	if err := CheckShardPure(&Manage{Keys: []kv.Key{2, 3}}, shards); err == nil {
 		t.Fatal("mixed-shard Manage accepted")
 	}
-	if err := CheckShardPure(&LeaseRevoke{Keys: []kv.Key{2, 3}}, shards); err == nil {
-		t.Fatal("mixed-shard LeaseRevoke accepted")
+	if err := CheckShardPure(&Manage{Kind: ManageRevoke, Keys: []kv.Key{2, 3}}, shards); err == nil {
+		t.Fatal("mixed-shard revoke accepted")
 	}
 	// SspSync and node-level messages carry no purity requirement.
 	if err := CheckShardPure(&SspSync{Keys: []kv.Key{2, 3}}, shards); err != nil {

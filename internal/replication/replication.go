@@ -26,6 +26,11 @@
 // ReplicaRefresh per node. Both message kinds are pinned to inbox shard 0
 // by the transport demux, preserving their per-link order.
 //
+// The Manager is also the node's one table of non-owner copies: besides
+// replicas it holds the serving tier's leases (Gray & Cheriton, SOSP 1989),
+// read-only copies with an expiry. Every replication method treats a leased
+// key as not replicated, and a replica entered over a lease replaces it.
+//
 // Consistency: replicated keys are eventually consistent. Reads always see
 // the node's own preceding writes (read-your-writes): a replica's local
 // value is "merged value + own unmerged deltas" at all times. This is
@@ -84,6 +89,13 @@ type Config struct {
 	Send func(dest int, m any)
 }
 
+// Per-key entry states (Manager.state). Any value above entryReplica is a
+// lease: a read-only copy valid until that leaseNow deadline.
+const (
+	entryNone    int64 = 0
+	entryReplica int64 = 1
+)
+
 // inflightDelta is one sync round's worth of sent-but-unacknowledged deltas
 // for a single key.
 type inflightDelta struct {
@@ -100,25 +112,26 @@ type stripe struct {
 	inflight map[kv.Key][]inflightDelta // sent, not yet acked by a refresh
 }
 
-// Manager is one node's replication state: the local replica store, the
-// striped pending and in-flight update buffers, and — for keys homed at this
-// node — the authoritative merged values. HandleSync and HandleRefresh run
-// on the node's shard-0 server goroutine; Pull/Push run on worker threads;
-// the sync ticker runs on its own goroutine. Per-key replica writes happen
-// only under the key's stripe lock, so refresh installs and pushes cannot
-// interleave (reads stay lock-free on the store's latches); the home-role
-// state (auth, dirty, applied) is guarded by homeMu. Lock order: a stripe
-// lock may be held when taking homeMu, never the reverse.
+// Manager is one node's copy table and replication state: the local store of
+// replicas and leases, the striped pending and in-flight update buffers, and
+// — for keys homed at this node — the authoritative merged values.
+// HandleSync and HandleRefresh run on the node's shard-0 server goroutine;
+// Pull/Push run on worker threads; the sync ticker runs on its own
+// goroutine. Per-key replica writes happen only under the key's stripe lock,
+// so refresh installs and pushes cannot interleave (reads stay lock-free on
+// the store's latches); the home-role state (auth, dirty, applied) is guarded
+// by homeMu. Lock order: a stripe lock may be held when taking homeMu, never
+// the reverse.
 type Manager struct {
 	cfg Config
-	// flags[k] is 1 while k is replicated at this node. It replaces a static
-	// key-set map so the adaptive controller can add and remove keys at
-	// runtime: worker fast paths read it lock-free, and it only flips under
-	// k's stripe lock — set after the replica entry exists, cleared before
-	// the entry is removed — so a flag observed 1 under the stripe lock
-	// guarantees the entry.
-	flags   []atomic.Uint32
-	replica *store.Sparse
+	// state[k] says what copy of k this node holds: none, a replica, or a
+	// lease (its expiry). It replaces a static key-set map so the adaptive
+	// controller can add and remove keys at runtime: worker fast paths read
+	// it lock-free, and it only changes under k's stripe lock — set after
+	// the copy exists, cleared before the copy is removed — so a non-zero
+	// state observed under the stripe lock guarantees the copy.
+	state   []atomic.Int64
+	replica *store.Sparse // replicas and leases
 	stripes []stripe
 
 	// sendMu serializes whole sync rounds (build + send), so concurrent
@@ -169,7 +182,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:     cfg,
-		flags:   make([]atomic.Uint32, cfg.Layout.NumKeys()),
+		state:   make([]atomic.Int64, cfg.Layout.NumKeys()),
 		replica: store.NewSparse(cfg.Layout, 0),
 		stripes: make([]stripe, cfg.Shards),
 		auth:    make(map[kv.Key][]float32),
@@ -187,7 +200,7 @@ func NewManager(cfg Config) *Manager {
 		if k >= cfg.Layout.NumKeys() {
 			panic(fmt.Sprintf("replication: key %d outside layout (%d keys)", k, cfg.Layout.NumKeys()))
 		}
-		m.flags[k].Store(1)
+		m.state[k].Store(entryReplica)
 		m.replica.Set(k, make([]float32, cfg.Layout.Len(k)))
 		if cfg.Home.NodeOf(k) == cfg.Node {
 			m.auth[k] = make([]float32, cfg.Layout.Len(k))
@@ -229,7 +242,7 @@ func (m *Manager) Stop() {
 // node. Lock-free; under live transitions the answer can be stale by the time
 // the caller acts on it, which is why Pull and Push re-validate and report
 // failure instead of trusting a prior Replicated check.
-func (m *Manager) Replicated(k kv.Key) bool { return m.flags[k].Load() == 1 }
+func (m *Manager) Replicated(k kv.Key) bool { return m.state[k].Load() == entryReplica }
 
 // Keys returns the statically configured replicated key set (shared slice;
 // do not mutate). Keys entered at runtime are not included.
@@ -258,7 +271,7 @@ func (m *Manager) InitKey(k kv.Key, val []float32) {
 // replicated here: the caller falls back to its non-replicated path. A true
 // return is an ordinary local replica read, never a network access.
 func (m *Manager) Pull(k kv.Key, dst []float32) bool {
-	if m.flags[k].Load() == 0 {
+	if !m.Replicated(k) {
 		return false
 	}
 	if !m.replica.Read(k, dst) {
@@ -279,7 +292,7 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if !m.Replicated(k) {
 		return false
 	}
 	p, ok := st.pending[k]
@@ -298,17 +311,18 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 }
 
 // EnterKey starts replicating k at this (non-home) node with the home's
-// current value v. Idempotent: a key already replicated keeps its local view
-// (a duplicate enter must not clobber deltas pushed since the first).
+// current value v, replacing a lease on k in place. Idempotent: a key already
+// replicated keeps its local view (a duplicate enter must not clobber deltas
+// pushed since the first).
 func (m *Manager) EnterKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 1 {
+	if m.Replicated(k) {
 		return
 	}
 	m.replica.Set(k, v)
-	m.flags[k].Store(1)
+	m.state[k].Store(entryReplica)
 }
 
 // EnterHomeKey starts replicating k at its home node, seeding both the
@@ -318,7 +332,7 @@ func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 1 {
+	if m.Replicated(k) {
 		panic(fmt.Sprintf("replication: EnterHomeKey(%d): already replicated at node %d", k, m.cfg.Node))
 	}
 	m.homeMu.Lock()
@@ -334,7 +348,7 @@ func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	m.dirty[k] = true
 	m.homeMu.Unlock()
 	m.replica.Set(k, v)
-	m.flags[k].Store(1)
+	m.state[k].Store(entryReplica)
 }
 
 // DemoteLocal stops replicating k at this (non-home) node and returns the
@@ -349,10 +363,10 @@ func (m *Manager) DemoteLocal(k kv.Key) (vals []float32, seqs []uint32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if !m.Replicated(k) {
 		return nil, nil
 	}
-	m.flags[k].Store(0)
+	m.state[k].Store(entryNone)
 	if p, ok := st.pending[k]; ok {
 		vals = append(vals, p...)
 		seqs = append(seqs, 0)
@@ -408,10 +422,10 @@ func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if !m.Replicated(k) {
 		panic(fmt.Sprintf("replication: FinalizeDemote(%d): not replicated at node %d", k, m.cfg.Node))
 	}
-	m.flags[k].Store(0)
+	m.state[k].Store(entryNone)
 	m.homeMu.Lock()
 	v, ok := m.auth[k]
 	if !ok {
@@ -645,11 +659,12 @@ func (m *Manager) retireLocked(st *stripe, k kv.Key, ack uint32) {
 // installLocked sets the local replica of k to merged plus every local delta
 // not yet reflected in merged (in-flight and pending), preserving
 // read-your-writes across the install. The key's stripe lock must be held.
-// Keys no longer replicated here are dropped: a refresh (or a home-side
-// broadcast that copied its keys under homeMu) may land after a demotion
-// cleared the flag, and installing then would resurrect a removed entry.
+// Keys no longer replicated here (or only leased) are dropped: a refresh (or
+// a home-side broadcast that copied its keys under homeMu) may land after a
+// demotion cleared the state, and installing then would resurrect a removed
+// entry.
 func (m *Manager) installLocked(st *stripe, k kv.Key, merged []float32) {
-	if m.flags[k].Load() == 0 {
+	if !m.Replicated(k) {
 		return
 	}
 	v := make([]float32, len(merged))
@@ -687,4 +702,59 @@ func (m *Manager) ReadReplica(k kv.Key, dst []float32) {
 	if !m.replica.Read(k, dst) {
 		panic(fmt.Sprintf("replication: replica of key %d missing at node %d", k, m.cfg.Node))
 	}
+}
+
+// leaseNow is the wall time at process start plus the monotonic time since:
+// one clock read per lease hit where time.Now().UnixNano() takes two, and
+// expiries that a step of the wall clock cannot move.
+var leaseClockBase = time.Now()
+
+func leaseNow() int64 { return leaseClockBase.UnixNano() + int64(time.Since(leaseClockBase)) }
+
+// InstallLease stores v as a read-only lease on k, valid for ttl from now. v
+// is copied. A replica of k is left alone: the sync cycle keeps it fresh, so
+// a lease granted before the promotion reached this node adds nothing.
+func (m *Manager) InstallLease(k kv.Key, v []float32, ttl time.Duration) {
+	expiry := leaseNow() + int64(ttl)
+	st := m.stripeOf(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if m.Replicated(k) {
+		return
+	}
+	m.replica.Set(k, v)
+	m.state[k].Store(expiry)
+}
+
+// Lease copies the leased value of k into dst, reporting false when k holds
+// no live lease here (a replica is not a lease: read it with Pull). An
+// expired lease is dropped on the way. The hit path takes no stripe lock and
+// counts nothing: the caller accounts for serving hits.
+func (m *Manager) Lease(k kv.Key, dst []float32) bool {
+	s := m.state[k].Load()
+	if s <= entryReplica {
+		return false
+	}
+	if s < leaseNow() {
+		m.DropLease(k)
+		return false
+	}
+	return m.replica.Read(k, dst) // false if dropped since the state load
+}
+
+// DropLease removes the lease on k, expired or not, and reports whether
+// there was one. A replica of k is left alone.
+func (m *Manager) DropLease(k kv.Key) bool {
+	if m.state[k].Load() <= entryReplica {
+		return false
+	}
+	st := m.stripeOf(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if m.state[k].Load() <= entryReplica {
+		return false
+	}
+	m.state[k].Store(entryNone)
+	m.replica.Take(k)
+	return true
 }

@@ -43,7 +43,7 @@ type Router interface {
 type OpCtx struct {
 	nd       *Node
 	t        msg.OpType
-	lease    bool // read-only dispatch requesting serving-cache leases
+	lease    bool // read-only dispatch requesting serving-tier leases
 	keys     []kv.Key
 	dst      []float32
 	offs     []int32  // per-occurrence offset into dst/vals
@@ -55,8 +55,8 @@ type OpCtx struct {
 }
 
 // Lease reports whether this operation is a read-only dispatch
-// (DispatchOpRO) whose remote pulls request serving-cache leases; routers
-// use it to consult the serving cache before paying the network.
+// (DispatchOpRO) whose remote pulls request serving-tier leases; routers
+// use it to consult the node's leases before paying the network.
 func (c *OpCtx) Lease() bool { return c.lease }
 
 // ID returns the pending-operation ID of key k's shard part, registering the
@@ -312,8 +312,8 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 const fastSampleEvery = 8
 
 // DispatchOpRO issues a read-only multi-key pull whose remote slices request
-// serving-cache leases (Op.Lease): the router sees OpCtx.Lease and may serve
-// keys from the node's serving cache, and residual remote pulls install
+// serving-tier leases (Op.Lease): the router sees OpCtx.Lease and may serve
+// keys from the node's live leases, and residual remote pulls install
 // leases for the next call. Everything else — batching, lazy pending-table
 // registration, the zero-allocation all-fast-path completion — is DispatchOp.
 func (h *Handle) DispatchOpRO(r Router, keys []kv.Key, dst []float32) *kv.Future {

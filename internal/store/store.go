@@ -74,10 +74,13 @@ func newLatchList(n int) *latchList {
 }
 
 func (l *latchList) lock(k kv.Key) *sync.Mutex {
-	m := &l.latches[(uint64(k)*fibMult)>>l.shift]
+	m := &l.latches[l.index(k)]
 	m.Lock()
 	return m
 }
+
+// index returns the position of k's latch in the pool.
+func (l *latchList) index(k kv.Key) int { return int((uint64(k) * fibMult) >> l.shift) }
 
 // Dense is a Store backed by one contiguous float32 array covering the whole
 // key space of its layout, plus a presence bitmap. It is the store variant
@@ -193,22 +196,28 @@ func (d *Dense) Keys() int {
 	return int(d.nKeys)
 }
 
-// Sparse is a Store backed by a map, suitable for non-contiguous key spaces
-// or when a node holds a small subset of the keys.
+// Sparse is a Store backed by maps, suitable for non-contiguous key spaces
+// or when a node holds a small subset of the keys. The map is split by
+// latch, each part guarded by its latch, so an operation takes one lock and
+// no lock word is shared by all readers.
 type Sparse struct {
 	layout  kv.Layout
-	mu      sync.RWMutex // guards the map structure
-	vals    map[kv.Key][]float32
 	latches *latchList
+	parts   []map[kv.Key][]float32 // parts[i] is guarded by latch i
 }
 
 // NewSparse returns an empty sparse store for layout with nLatches latches.
 func NewSparse(layout kv.Layout, nLatches int) *Sparse {
-	return &Sparse{
-		layout:  layout,
-		vals:    make(map[kv.Key][]float32),
-		latches: newLatchList(nLatches),
-	}
+	l := newLatchList(nLatches)
+	return &Sparse{layout: layout, latches: l, parts: make([]map[kv.Key][]float32, len(l.latches))}
+}
+
+// lock takes k's latch and returns it with the index of k's map part.
+func (s *Sparse) lock(k kv.Key) (*sync.Mutex, int) {
+	i := s.latches.index(k)
+	m := &s.latches.latches[i]
+	m.Lock()
+	return m, i
 }
 
 // Layout implements Store.
@@ -219,11 +228,9 @@ func (s *Sparse) Len(k kv.Key) int { return s.layout.Len(k) }
 
 // Read implements Store.
 func (s *Sparse) Read(k kv.Key, dst []float32) bool {
-	l := s.latches.lock(k)
+	l, i := s.lock(k)
 	defer l.Unlock()
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
+	v, ok := s.parts[i][k]
 	if !ok {
 		return false
 	}
@@ -233,74 +240,71 @@ func (s *Sparse) Read(k kv.Key, dst []float32) bool {
 
 // Add implements Store.
 func (s *Sparse) Add(k kv.Key, delta []float32) bool {
-	l := s.latches.lock(k)
+	l, i := s.lock(k)
 	defer l.Unlock()
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
+	v, ok := s.parts[i][k]
 	if !ok {
 		return false
 	}
 	if len(delta) != len(v) {
 		panic(fmt.Sprintf("store: Add length mismatch for key %d: %d != %d", k, len(delta), len(v)))
 	}
-	for i, x := range delta {
-		v[i] += x
+	for j, x := range delta {
+		v[j] += x
 	}
 	return true
 }
 
 // Set implements Store.
 func (s *Sparse) Set(k kv.Key, vals []float32) {
-	l := s.latches.lock(k)
-	defer l.Unlock()
 	want := s.layout.Len(k)
 	if len(vals) != want {
 		panic(fmt.Sprintf("store: Set length mismatch for key %d: %d != %d", k, len(vals), want))
 	}
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
-	if ok {
+	l, i := s.lock(k)
+	defer l.Unlock()
+	if v, ok := s.parts[i][k]; ok {
 		copy(v, vals)
 		return
 	}
-	v = make([]float32, want)
+	if s.parts[i] == nil {
+		s.parts[i] = make(map[kv.Key][]float32)
+	}
+	v := make([]float32, want)
 	copy(v, vals)
-	s.mu.Lock()
-	s.vals[k] = v
-	s.mu.Unlock()
+	s.parts[i][k] = v
 }
 
 // Take implements Store.
 func (s *Sparse) Take(k kv.Key) []float32 {
-	l := s.latches.lock(k)
+	l, i := s.lock(k)
 	defer l.Unlock()
-	s.mu.Lock()
-	v, ok := s.vals[k]
-	if ok {
-		delete(s.vals, k)
-	}
-	s.mu.Unlock()
+	v, ok := s.parts[i][k]
 	if !ok {
 		return nil
 	}
+	delete(s.parts[i], k)
 	return v
 }
 
 // Has implements Store.
 func (s *Sparse) Has(k kv.Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.vals[k]
+	l, i := s.lock(k)
+	defer l.Unlock()
+	_, ok := s.parts[i][k]
 	return ok
 }
 
 // Keys implements Store.
 func (s *Sparse) Keys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.vals)
+	n := 0
+	for i := range s.parts {
+		m := &s.latches.latches[i]
+		m.Lock()
+		n += len(s.parts[i])
+		m.Unlock()
+	}
+	return n
 }
 
 var (

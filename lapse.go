@@ -222,16 +222,17 @@ type Config struct {
 	// identical in every process.
 	Adaptive bool
 	// Serving, when non-nil, enables the read-path serving tier for
-	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
-	// values in a node-local serving cache, the keys' home nodes track and
-	// revoke the leases on writes, relocations, and promotions, and repeat
-	// MultiGets of leased keys are shared-memory reads that complete without
-	// a single allocation. Reads through the cache may lag another node's
-	// writes by up to the lease TTL; a worker always observes its own
-	// preceding synchronous writes (write-through invalidation, plus an
-	// owner-side revoke that chases any lease grant still in flight to the
-	// writer ahead of the push ack). &ServingConfig{} selects the default TTL. In
-	// multi-process deployments, Serving must be identical in every process.
+	// read-mostly workloads: Worker.MultiGet misses take TTL leases — read-
+	// only copies held in the node's one table of non-owner copies, next to
+	// its replicas — the keys' owners track and revoke the leases on writes,
+	// relocations, and promotions, and repeat MultiGets of leased keys are
+	// shared-memory reads that complete without a single allocation. Leased
+	// reads may lag another node's writes by up to the lease TTL; a worker
+	// always observes its own preceding synchronous writes (a push drops the
+	// node's own lease first, and an owner-side revoke chases any lease grant
+	// still in flight to the writer ahead of the push ack). &ServingConfig{}
+	// selects the default TTL. In multi-process deployments, Serving must be
+	// identical in every process.
 	Serving *ServingConfig
 	// MetricsAddr, when non-empty, serves live metrics over HTTP on this
 	// address (host:port; port 0 picks a free one — see Cluster.MetricsAddr
@@ -421,11 +422,10 @@ type Stats struct {
 	AdaptDemotions   int64
 	AdaptRelocations int64
 	// ServingHits and ServingMisses count MultiGet keys served from (or
-	// missing) the lease-based serving cache (Config.Serving). LeaseGrants
-	// counts leases granted by home nodes, LeaseRevokes revocation messages
-	// sent (writes, relocations, and promotions of leased keys), and
-	// LeaseInvalidations cache entries dropped (revocations received plus
-	// write-through drops).
+	// missing) a live lease (Config.Serving). LeaseGrants counts leases
+	// granted by owners, LeaseRevokes revocation messages sent (writes,
+	// relocations, and promotions of leased keys), and LeaseInvalidations
+	// leases dropped (revocations received plus write-through drops).
 	ServingHits        int64
 	ServingMisses      int64
 	LeaseGrants        int64
@@ -562,12 +562,12 @@ func (w *Worker) LocalizeAsync(keys []Key) *Async {
 }
 
 // MultiGet retrieves the values of keys through the read-path serving tier:
-// keys are served from the local replica or owned store, from the node's
-// leased serving cache, or — for the residual misses only — over the network
+// keys are served from the local replica or owned store, from a live lease
+// held by the node, or — for the residual misses only — over the network
 // with a lease request attached, so the next MultiGet of the same keys is a
 // shared-memory read. A MultiGet whose keys all hit local state completes
 // without allocating. With Config.Serving nil the call is equivalent to
-// Pull. Values served from the cache may lag remote writes by up to the
+// Pull. Values served from a lease may lag remote writes by up to the
 // lease TTL (see Config.Serving); the worker's own preceding synchronous
 // writes are always visible.
 func (w *Worker) MultiGet(keys []Key, dst []float32) error {

@@ -12,7 +12,7 @@ import (
 // cross-node consistency contract on every transport: after a Push at the
 // key's home node, a reader node holding a cached lease must observe the new
 // value well within the test deadline — far inside the 30s lease TTL, so the
-// freshness can only come from the revocation protocol (the LeaseRevoke
+// freshness can only come from the revocation protocol (the ManageRevoke
 // message), never from expiry. The writer additionally asserts read-your-writes on its own node.
 // Runs under -race in CI for all three transports.
 func TestServingLeaseInvalidationAcrossTransports(t *testing.T) {
